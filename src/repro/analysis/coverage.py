@@ -8,9 +8,8 @@ mechanical:
 
 1. enumerate the differentiable surface from the source AST —
    every public top-level function in ``repro/tensor/ops.py`` plus every
-   ``Tensor`` method whose body tapes an op, either through the registry
-   dispatch (``engine.apply`` / ``apply_ctx``) or the legacy
-   ``Tensor.from_op`` closure path;
+   ``Tensor`` method whose body tapes an op through the registry dispatch
+   (``engine.apply`` / ``apply_ctx``);
 2. scan the test files under ``tests/tensor/`` for test functions that call
    ``check_gradients`` and record which primitives each exercises (by name
    for ops/methods, by operator token for dunders — ``a * b`` covers
@@ -83,22 +82,19 @@ def differentiable_surface(src_root: Path | str) -> dict[str, str]:
     for node in tensor_tree.body:
         if isinstance(node, ast.ClassDef) and node.name == "Tensor":
             for item in node.body:
-                if not isinstance(item, ast.FunctionDef) or item.name == "from_op":
-                    continue
-                if _tapes_an_op(item):
+                if isinstance(item, ast.FunctionDef) and _tapes_an_op(item):
                     surface[item.name] = f"Tensor.{item.name}"
     return surface
 
 
-_TAPING_CALLS = {"from_op", "apply", "apply_ctx", "_apply"}
+_TAPING_CALLS = {"apply", "apply_ctx", "_apply"}
 
 
 def _tapes_an_op(func: ast.FunctionDef) -> bool:
     """Whether the function body dispatches a taped op.
 
-    Matches both the registry choke point (``engine.apply(...)`` — also seen
-    as a bare ``apply``/``_apply`` alias) and the legacy closure path
-    (``Tensor.from_op``).
+    Matches the registry choke point, ``engine.apply(...)``, also seen as
+    a bare ``apply``/``_apply`` alias.
     """
     for node in ast.walk(func):
         if not isinstance(node, ast.Call):

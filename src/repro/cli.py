@@ -147,6 +147,26 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "1 runs the shard program serially; default: "
                              "classic single-process step)")
     parser.add_argument("--scale", default="ci", choices=["ci", "paper"])
+    parser.add_argument("--n-tasks", dest="n_tasks", type=int)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+#: Scenario knobs: ``run`` accepts them only together with ``--scenario``.
+_SCENARIO_KNOBS = ("scenario_seed", "blur_ratio", "segments_per_task",
+                   "drift_threshold", "domain_count", "domain_shift",
+                   "long_cycles", "transfer_output")
+
+
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", choices=_scenario_names(),
+                        help="route the run through the scenario registry "
+                             "(stream shape + first-class transfer matrix); "
+                             "default: plain class-incremental run, no "
+                             "transfer matrix")
+    parser.add_argument("--transfer-output", dest="transfer_output",
+                        help="write the serialized transfer matrix here "
+                             "(default: next to --output, else "
+                             "./transfer-matrix.json)")
     parser.add_argument("--scenario-seed", dest="scenario_seed", type=int,
                         help="seed for the stream builders (independent of "
                              "the training --seed)")
@@ -167,8 +187,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--long-cycles", dest="long_cycles", type=int,
                         help="long-sequence scenario: cycles over the base "
                              "task order")
-    parser.add_argument("--n-tasks", dest="n_tasks", type=int)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _transfer_output_path(args: argparse.Namespace):
@@ -184,6 +202,13 @@ def _transfer_output_path(args: argparse.Namespace):
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    if args.scenario is None:
+        knobs = [f"--{knob.replace('_', '-')}" for knob in _SCENARIO_KNOBS
+                 if getattr(args, knob) is not None]
+        if knobs:
+            print(f"error: {', '.join(knobs)} requires --scenario",
+                  file=sys.stderr)
+            return 2
     sequence = _load_benchmark(args.benchmark, args.scale, args.n_tasks)
     config = _config_from_args(args)
     if args.resume and not args.checkpoint_dir:
@@ -407,15 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("method", choices=METHODS + ["multitask"])
     run_parser.add_argument("benchmark")
     run_parser.add_argument("--output", help="write the result JSON here")
-    run_parser.add_argument("--scenario", choices=_scenario_names(),
-                            help="route the run through the scenario registry "
-                                 "(stream shape + first-class transfer matrix); "
-                                 "default: classic class-incremental trainer "
-                                 "path")
-    run_parser.add_argument("--transfer-output", dest="transfer_output",
-                            help="write the serialized transfer matrix here "
-                                 "(default: next to --output, else "
-                                 "./transfer-matrix.json)")
+    _add_scenario_arguments(run_parser)
     _add_config_arguments(run_parser)
     _add_fault_tolerance_arguments(run_parser)
     run_parser.set_defaults(handler=_command_run)

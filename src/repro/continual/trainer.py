@@ -24,18 +24,16 @@ are bit-for-bit identical for every worker count; a worker dying mid-step
 surfaces as a ``WorkerFailure`` that enters the guardrail ladder like any
 other poisoned batch.
 
-The boundary signal is a *stream event*, not an assumption:
-:meth:`ContinualTrainer.run` accepts either a plain ``TaskSequence``
-(sharp boundaries, the classic path) or a
-:class:`~repro.scenarios.streams.ScenarioStream`.  A boundary controller
-turns the stream's shape into :class:`~repro.continual.method.BoundaryEvent`
-begin/end pairs: sharp streams get one pair per segment (behaviour
-identical to the pre-scenario trainer, pinned byte-for-byte by the parity
-test), while ``task_free`` streams route every segment through a
-:class:`~repro.scenarios.drift.DriftDetector` and emit boundaries only
-when the input statistics drift — methods self-trigger selection and
-consolidation.  Stream runs additionally record a
-:class:`~repro.eval.transfer.TransferMatrix` (online + final accuracy on
+The trainer walks one loop over a
+:class:`~repro.scenarios.streams.ScenarioStream`; a plain ``TaskSequence``
+is first turned into its ``class_incremental`` stream (the same ``Task``
+objects).  A boundary controller turns the stream's shape into
+:class:`~repro.continual.method.BoundaryEvent` begin/end pairs: sharp
+streams get one pair per segment, while ``task_free`` streams route every
+segment through a :class:`~repro.scenarios.drift.DriftDetector` and emit
+boundaries only when the input statistics drift — methods self-trigger
+selection and consolidation.  A run handed a stream additionally records
+a :class:`~repro.eval.transfer.TransferMatrix` (online + final accuracy on
 the full eval panel per segment), rewritten atomically next to the
 checkpoints *before* each checkpoint commit so resume restores it
 bit-for-bit.
@@ -58,7 +56,7 @@ from repro.data.dataset import ArrayDataset
 from repro.data.loader import DataLoader
 from repro.data.splits import Task, TaskSequence
 from repro.eval.metrics import ContinualResult
-from repro.eval.protocol import evaluate_task, evaluate_tasks
+from repro.eval.protocol import evaluate_tasks
 from repro.eval.transfer import TransferMatrix
 from repro.faults import plane as _faults
 from repro.optim import SGD, Adam, ConstantLR, CosineLR
@@ -69,7 +67,8 @@ from repro.runtime.guardrail import (GuardrailPolicy, GuardrailViolation,
                                      build_failure_report, clip_detail,
                                      global_grad_norm)
 from repro.scenarios.drift import DriftDetector
-from repro.scenarios.streams import ScenarioStream
+from repro.scenarios.streams import (ScenarioStream,
+                                     class_incremental_stream)
 from repro.tensor.anomaly import AnomalyError, detect_anomaly
 from repro.tensor.tape import TapedFunction
 from repro.utils.rng import get_rng_state, set_rng_state
@@ -106,11 +105,10 @@ def _build_augment(config: ContinualConfig, train_x: np.ndarray) -> TwoViewAugme
 class SharpBoundaryController:
     """Default boundary controller: every stream segment is its own task.
 
-    Emits exactly the begin/end pair per segment the pre-scenario trainer
-    hard-coded, routed through :meth:`ContinualMethod.on_boundary` — the
-    behaviour-preserving half of the stream-event refactor.  Stateless,
-    so its checkpoint contribution is ``None`` (sharp-stream checkpoint
-    bytes stay identical to the legacy format).
+    Emits one begin/end pair per segment through
+    :meth:`ContinualMethod.on_boundary`.  Stateless, so its checkpoint
+    contribution is ``None`` and sharp-stream checkpoints carry no
+    ``stream`` key.
     """
 
     def begin_segment(self, method: ContinualMethod, task: Task,
@@ -277,8 +275,7 @@ class ContinualTrainer:
             "result": result.state_dict(),
         }
         # Only stateful controllers (task-free streams) contribute; sharp
-        # runs omit the key so their checkpoint bytes stay identical to
-        # the pre-scenario format.
+        # runs omit the key.
         stream_state = self._controller.state_dict()
         if stream_state is not None:
             state["stream"] = stream_state
@@ -331,22 +328,25 @@ class ContinualTrainer:
     # ------------------------------------------------------------------
     def run(self, sequence: TaskSequence | ScenarioStream,
             resume: bool = False) -> ContinualResult:
-        """Train over a task sequence or a scenario stream.
+        """Train segment by segment over a scenario stream.
 
-        A plain :class:`TaskSequence` runs the classic sharp-boundary
-        loop.  A :class:`~repro.scenarios.streams.ScenarioStream` runs
-        segment by segment under the stream's boundary controller and
-        additionally fills :attr:`transfer_matrix` — one online row
-        (probed *before* the segment trains) and one final row (after)
-        over the stream's full eval panel per segment.
+        A plain :class:`TaskSequence` runs as its ``class_incremental``
+        stream and probes only the panel columns its result rows read.  A
+        :class:`~repro.scenarios.streams.ScenarioStream` probes its whole
+        eval panel and fills :attr:`transfer_matrix` — one online row
+        (before the segment trains) and one final row (after) per segment.
+        Either way, result row ``i`` reads ``final[seg.eval_alias]`` for
+        every segment seen so far.
         """
         config = self.config
         method = self.method
-        stream = sequence if isinstance(sequence, ScenarioStream) else None
-        n_tasks = len(sequence)
+        record = isinstance(sequence, ScenarioStream)
+        stream = sequence if record else class_incremental_stream(sequence)
+        n_tasks = len(stream)
+        panel = range(len(stream.eval_tasks))
         result = ContinualResult(n_tasks, name=method.name, probe=config.probe)
         self._controller = self._make_controller(stream)
-        transfer = None if stream is None else self._make_transfer(stream)
+        transfer = self._make_transfer(stream) if record else None
         self.transfer_matrix = transfer
         start_task = 0
         prior_elapsed = 0.0
@@ -360,7 +360,7 @@ class ContinualTrainer:
                     self.log.append("corrupt-checkpoint", detail=reason)
                 start_task = self._restore_run_state(loaded.state, n_tasks, result)
                 prior_elapsed = result.elapsed_seconds
-                if transfer is not None:
+                if record:
                     self._restore_transfer(transfer, start_task)
                 self.log.append("resume", task_index=start_task,
                                 checkpoint=str(loaded.path))
@@ -369,33 +369,25 @@ class ContinualTrainer:
                           f"{start_task}/{n_tasks} from {loaded.path.name}")
 
         start = time.perf_counter()
+        # online[i] is final[i-1]: between the two probes only the matrix
+        # and checkpoint writes run, and neither touches the model or the
+        # run RNG.  So online is probed only for the first segment this
+        # process trains.
+        final_row = None
         try:
-            for task_index in range(n_tasks):
-                if task_index < start_task:
-                    continue
-                task = (sequence[task_index] if stream is None
-                        else stream.segments[task_index].task)
-                if transfer is not None:
-                    online_row = evaluate_tasks(method.objective,
-                                                list(stream.eval_tasks),
-                                                knn_k=config.knn_k,
-                                                probe=config.probe)
-                self._run_task(task, task_index, n_tasks)
-                if stream is None:
-                    accuracies = evaluate_tasks(method.objective,
-                                                list(sequence)[:task_index + 1],
-                                                knn_k=config.knn_k,
-                                                probe=config.probe)
-                else:
-                    final_row = evaluate_tasks(method.objective,
-                                               list(stream.eval_tasks),
-                                               knn_k=config.knn_k,
-                                               probe=config.probe)
-                    accuracies = self._segment_accuracies(stream, task_index,
-                                                          final_row)
-                result.record_row(accuracies)
+            for task_index in range(start_task, n_tasks):
+                seen = stream.segments[:task_index + 1]
+                online_row = final_row
+                if record and online_row is None:
+                    online_row = self._probe(stream, panel)
+                self._run_task(seen[-1].task, task_index, n_tasks)
+                columns = panel if record else sorted(
+                    {segment.eval_alias for segment in seen})
+                final_row = self._probe(stream, columns)
+                result.record_row([final_row[segment.eval_alias]
+                                   for segment in seen])
                 result.elapsed_seconds = prior_elapsed + (time.perf_counter() - start)
-                if transfer is not None:
+                if record:
                     # Matrix first, checkpoint second: a crash between the
                     # two leaves the matrix one row ahead, which resume
                     # truncates back to the checkpoint's row count — the
@@ -422,8 +414,8 @@ class ContinualTrainer:
     # ------------------------------------------------------------------
     # Stream plumbing (boundary controllers and the transfer matrix)
     # ------------------------------------------------------------------
-    def _make_controller(self, stream: ScenarioStream | None):
-        if stream is not None and stream.boundary_mode == "task_free":
+    def _make_controller(self, stream: ScenarioStream):
+        if stream.boundary_mode == "task_free":
             return TaskFreeBoundaryController(
                 stream, DriftDetector(stream.drift_threshold))
         return SharpBoundaryController()
@@ -438,24 +430,16 @@ class ContinualTrainer:
             row_sources=[segment.source_task for segment in stream.segments],
             chance=chance)
 
-    def _segment_accuracies(self, stream: ScenarioStream, task_index: int,
-                            final_row: list[float]) -> list[float]:
-        """The classic result row over segments seen so far.
-
-        Segments whose test split *is* an eval-panel task (``eval_alias``)
-        reuse the panel row — for sharp streams that makes the result
-        matrix provably equal to the classic path's; alias-free segments
-        are probed directly.
-        """
-        accuracies = []
-        for segment in stream.segments[:task_index + 1]:
-            if segment.eval_alias is not None:
-                accuracies.append(final_row[segment.eval_alias])
-            else:
-                accuracies.append(evaluate_task(
-                    self.method.objective, segment.task, self.config.knn_k,
-                    probe=self.config.probe))
-        return accuracies
+    def _probe(self, stream: ScenarioStream, columns) -> list[float]:
+        """One panel row: the probe's accuracy on ``columns``, NaN elsewhere."""
+        accuracies = evaluate_tasks(self.method.objective,
+                                    [stream.eval_tasks[c] for c in columns],
+                                    knn_k=self.config.knn_k,
+                                    probe=self.config.probe)
+        row = [float("nan")] * len(stream.eval_tasks)
+        for column, accuracy in zip(columns, accuracies):
+            row[column] = accuracy
+        return row
 
     def _transfer_path(self) -> pathlib.Path | None:
         if self.checkpoints is None:
@@ -752,6 +736,25 @@ class ContinualTrainer:
                                report_path=report_path)
 
 
+def build_trainer(name: str, config: ContinualConfig,
+                  sample_shape: tuple[int, ...], seed: int = 0,
+                  verbose: bool = False,
+                  checkpoint_dir: str | pathlib.Path | None = None,
+                  guardrails: GuardrailPolicy | None = None) -> ContinualTrainer:
+    """``default_rng(seed)`` → objective → method → trainer, in that order.
+
+    Every entry point builds its trainer here, so the objective's and the
+    method's initial draws come off the generator the trainer then keeps,
+    and a run is a pure function of ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    objective = build_objective(config, sample_shape, rng)
+    method = make_method(name, objective, config, rng)
+    return ContinualTrainer(method, config, rng, verbose=verbose,
+                            checkpoint_dir=checkpoint_dir,
+                            guardrails=guardrails)
+
+
 def run_method(name: str, sequence: TaskSequence, config: ContinualConfig,
                seed: int = 0, verbose: bool = False,
                checkpoint_dir: str | pathlib.Path | None = None,
@@ -763,13 +766,15 @@ def run_method(name: str, sequence: TaskSequence, config: ContinualConfig,
     :class:`ContinualTrainer`; a resumed run rebuilds the objective and
     method from the same seed, then the checkpoint overwrites every piece of
     state (including the RNG stream), so the continuation is bit-for-bit
-    identical to the uninterrupted run.
+    identical to the uninterrupted run.  Runs the plain class-incremental
+    sequence only: a config naming another scenario is rejected.
     """
-    rng = np.random.default_rng(seed)
-    sample_shape = sequence[0].train.x.shape[1:]
-    objective = build_objective(config, sample_shape, rng)
-    method = make_method(name, objective, config, rng)
-    trainer = ContinualTrainer(method, config, rng, verbose=verbose,
-                               checkpoint_dir=checkpoint_dir,
-                               guardrails=guardrails)
+    if config.scenario != "class_incremental":
+        raise ValueError(
+            f"config.scenario is {config.scenario!r} but run_method trains "
+            f"the plain class-incremental sequence; use "
+            f"repro.scenarios.run_scenario_method for scenario runs")
+    trainer = build_trainer(name, config, sequence[0].train.x.shape[1:], seed,
+                            verbose=verbose, checkpoint_dir=checkpoint_dir,
+                            guardrails=guardrails)
     return trainer.run(sequence, resume=resume)

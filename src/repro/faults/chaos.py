@@ -33,11 +33,8 @@ import pathlib
 import tempfile
 from collections import Counter
 
-import numpy as np
-
-from repro.continual.config import ContinualConfig, build_objective
-from repro.continual.method import make_method
-from repro.continual.trainer import ContinualTrainer
+from repro.continual.config import ContinualConfig
+from repro.continual.trainer import ContinualTrainer, build_trainer
 from repro.data.splits import TaskSequence, class_incremental_split
 from repro.data.synthetic import SyntheticImageConfig, make_image_dataset
 from repro.faults import plane
@@ -98,12 +95,8 @@ def _run_target(scenario: Scenario, sequence: TaskSequence,
 
 def _build_trainer(config: ContinualConfig, seed: int, sequence: TaskSequence,
                    checkpoint_dir, policy: GuardrailPolicy) -> ContinualTrainer:
-    rng = np.random.default_rng(seed)
-    sample_shape = sequence[0].train.x.shape[1:]
-    objective = build_objective(config, sample_shape, rng)
-    method = make_method(METHOD, objective, config, rng)
-    return ContinualTrainer(method, config, rng,
-                            checkpoint_dir=checkpoint_dir, guardrails=policy)
+    return build_trainer(METHOD, config, sequence[0].train.x.shape[1:], seed,
+                         checkpoint_dir=checkpoint_dir, guardrails=policy)
 
 
 def _comparable(result_state: dict) -> dict:

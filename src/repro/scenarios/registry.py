@@ -7,11 +7,12 @@ any registered scenario, returning the classic
 :class:`~repro.eval.metrics.ContinualResult` *and* the first-class
 :class:`~repro.eval.transfer.TransferMatrix`.
 
-``run_scenario_method`` replicates :func:`repro.continual.trainer.run_method`'s
-construction order exactly — ``default_rng(seed)`` → objective → method →
-trainer — and stream building consumes no trainer RNG, so the
-``class_incremental`` scenario is byte-for-byte identical to the classic
-path (pinned by ``tests/scenarios/test_parity.py``).
+``run_scenario_method`` builds its trainer with
+:func:`repro.continual.trainer.build_trainer`, exactly as
+:func:`~repro.continual.trainer.run_method` does, and stream building
+consumes no trainer RNG, so the ``class_incremental`` scenario is
+byte-for-byte identical to a plain ``run_method`` run (pinned by
+``tests/scenarios/test_parity.py``).
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from repro.continual.config import ContinualConfig, build_objective
-from repro.continual.method import make_method
+from repro.continual.config import ContinualConfig
 from repro.data.splits import TaskSequence
 from repro.eval.metrics import ContinualResult
 from repro.eval.transfer import TransferMatrix
@@ -88,7 +86,7 @@ def build_stream(name: str, sequence: TaskSequence,
 
 register_scenario(
     "class_incremental",
-    "sharp class-incremental boundaries (the classic path, bit-identical)",
+    "sharp class-incremental boundaries (the stream every plain run trains)",
     lambda sequence, config: class_incremental_stream(sequence))
 register_scenario(
     "task_free",
@@ -123,21 +121,18 @@ def run_scenario_method(method_name: str, sequence: TaskSequence,
                                                   TransferMatrix]:
     """Apply ``method_name`` to ``config.scenario``'s stream over ``sequence``.
 
-    The scenario-path twin of :func:`repro.continual.trainer.run_method`:
-    same construction order, same checkpoint/resume/guardrail semantics,
-    plus the transfer matrix — written next to the checkpoints on every
-    boundary and restored bit-for-bit by ``resume=True``.
+    Same trainer construction and checkpoint/resume/guardrail semantics as
+    :func:`repro.continual.trainer.run_method`, plus the transfer matrix —
+    written next to the checkpoints on every boundary and restored
+    bit-for-bit by ``resume=True``.
     """
     # Late import: the trainer itself iterates ScenarioStream objects, so
     # importing it at module scope would cycle through this package.
-    from repro.continual.trainer import ContinualTrainer
+    from repro.continual.trainer import build_trainer
 
     stream = build_stream(config.scenario, sequence, config)
-    rng = np.random.default_rng(seed)
-    objective = build_objective(config, stream.sample_shape, rng)
-    method = make_method(method_name, objective, config, rng)
-    trainer = ContinualTrainer(method, config, rng, verbose=verbose,
-                               checkpoint_dir=checkpoint_dir,
-                               guardrails=guardrails)
+    trainer = build_trainer(method_name, config, stream.sample_shape, seed,
+                            verbose=verbose, checkpoint_dir=checkpoint_dir,
+                            guardrails=guardrails)
     result = trainer.run(stream, resume=resume)
     return result, trainer.transfer_matrix

@@ -60,18 +60,17 @@ _BOUNDARY_MODES = ("sharp", "task_free")
 class StreamSegment:
     """One training increment of a scenario stream.
 
+    ``eval_alias`` names the panel column whose evaluation is *identical*
+    to evaluating this segment's own test split: the trainer's result row
+    reads that column of the panel row instead of re-probing.
     ``source_task`` is the eval-panel index the segment's training data
-    primarily comes from (transfer-matrix row labeling).  ``eval_alias``
-    names the panel column whose evaluation is *identical* to evaluating
-    this segment's own test split — when set, the trainer reuses the
-    panel row instead of re-probing (for sharp streams this is what makes
-    the scenario path bit-identical to the classic path).
+    primarily comes from (transfer-matrix row labeling).
     """
 
     index: int
     task: Task
+    eval_alias: int
     source_task: int | None = None
-    eval_alias: int | None = None
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ class ScenarioStream:
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}; "
                              f"one of {_BOUNDARY_MODES}")
         for segment in self.segments:
-            if (segment.eval_alias is not None
-                    and not 0 <= segment.eval_alias < len(self.eval_tasks)):
+            if not 0 <= segment.eval_alias < len(self.eval_tasks):
                 raise ValueError(f"segment {segment.index} aliases eval task "
                                  f"{segment.eval_alias}, panel has "
                                  f"{len(self.eval_tasks)}")
@@ -125,9 +123,9 @@ def class_incremental_stream(sequence: TaskSequence) -> ScenarioStream:
     """The identity stream: the task sequence itself, one segment per task.
 
     Shares the *same* :class:`Task` objects with ``sequence`` — no copies,
-    no re-randomization — so running it through the trainer is provably
-    the classic class-incremental run (pinned byte-for-byte by the parity
-    regression test).
+    no re-randomization.  The trainer runs a plain ``TaskSequence`` as this
+    stream, so a registry-routed ``class_incremental`` run is byte-for-byte
+    a plain one (pinned by the parity regression test).
     """
     segments = tuple(StreamSegment(i, task, source_task=i, eval_alias=i)
                      for i, task in enumerate(sequence))

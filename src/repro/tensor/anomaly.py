@@ -44,12 +44,11 @@ def is_anomaly_enabled() -> bool:
 def detect_anomaly():
     """Enable NaN/Inf checking for every op taped inside the block.
 
-    Forward: every op result dispatched through ``engine.apply`` (and every
-    legacy :meth:`Tensor.from_op` result) is checked as it is
-    created.  Backward: each gradient contribution produced while the
-    context is active is checked before it is accumulated.  Both raise
-    :class:`AnomalyError` naming the op; forward errors also carry the
-    stack that created the tensor.
+    Forward: every op result dispatched through ``engine.apply`` is
+    checked as it is created.  Backward: each gradient contribution
+    produced while the context is active is checked before it is
+    accumulated.  Both raise :class:`AnomalyError` naming the op; forward
+    errors also carry the stack that created the tensor.
     """
     global _ANOMALY_ENABLED
     previous = _ANOMALY_ENABLED

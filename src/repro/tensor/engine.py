@@ -27,10 +27,6 @@ What the choke point buys:
   composed chain (e.g. matmul + add + relu) for a single registered fused op
   with identical semantics; :func:`no_fusion` restores the unfused
   composition for parity testing.
-
-``Tensor.from_op`` remains as the legacy closure-taping API (tests and
-quick experiments use it); the registry is the supported path for library
-code.
 """
 
 from __future__ import annotations

@@ -254,10 +254,6 @@ class Tape:
                     return
                 schedule.append((_LEAF, sid))
                 continue
-            if node._op_cls is None:
-                self.mark_unsafe(f"node {node._op or '?'} was taped with a "
-                                 f"legacy closure (Tensor.from_op)")
-                return
             schedule.append((_OP, self._inst_of_out_slot[sid]))
         self.schedule = schedule
 

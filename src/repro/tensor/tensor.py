@@ -14,14 +14,9 @@ contribution arrives the engine owns the accumulator and every further
 contribution is added in place via ``np.add(..., out=...)``.  Leaf ``.grad``
 arrays behave the same way, so ``zero_grad(set_to_none=False)`` makes the
 ``.grad`` identity stable across steps (see DESIGN.md for the contract).
-
-:meth:`Tensor.from_op` remains as the legacy closure-taping API used by
-tests and quick experiments; library primitives are registered ops.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,7 +83,7 @@ class Tensor:
     """
 
     __slots__ = ("_data", "requires_grad", "grad", "_parents", "_parent_versions",
-                 "_op", "_op_cls", "_ctx", "_inputs", "_grad_fns", "_weak",
+                 "_op", "_op_cls", "_ctx", "_inputs", "_weak",
                  "_version", "_created_at")
 
     def __init__(self, data, requires_grad: bool = False, *, _op: str = ""):
@@ -103,7 +98,6 @@ class Tensor:
         self._op_cls = None
         self._ctx = None
         self._inputs: tuple = ()
-        self._grad_fns: tuple = ()
         self._created_at = anomaly.capture_stack() if anomaly.is_anomaly_enabled() else None
 
     @property
@@ -118,30 +112,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def from_op(data: np.ndarray, parents: Sequence[tuple["Tensor", Callable]], op: str = "") -> "Tensor":
-        """Create the result of a differentiable primitive (legacy closure API).
-
-        ``parents`` is a sequence of ``(tensor, grad_fn)`` pairs where
-        ``grad_fn(output_grad) -> parent_grad``.  The result requires grad iff
-        recording is enabled and any parent requires grad; otherwise the tape
-        is not extended.  Library code registers :class:`~repro.tensor.engine.Op`
-        classes and dispatches through ``engine.apply`` instead; this remains
-        for tests and one-off experiments (lint rule AD002 polices the
-        late-binding-closure hazard that comes with it).
-        """
-        if anomaly.is_anomaly_enabled():
-            anomaly.check_forward(np.asarray(data), op)
-        if engine._GRAD_ENABLED and any(p.requires_grad for p, _fn in parents):
-            out = Tensor(data, requires_grad=True, _op=op)
-            kept = [(p, fn) for p, fn in parents if p.requires_grad]
-            out._parents = tuple(p for p, _fn in kept)
-            out._grad_fns = tuple(fn for _p, fn in kept)
-            out._parent_versions = tuple(p._version for p in out._parents)
-        else:
-            out = Tensor(data, requires_grad=False)
-        return out
-
     @staticmethod
     def zeros(*shape: int, requires_grad: bool = False,
               out: np.ndarray | None = None) -> "Tensor":
@@ -299,12 +269,8 @@ class Tensor:
                         f"Run backward() before mutating parameters, or detach() the "
                         f"tensor if the mutation is intentional."
                     )
-            if node._op_cls is not None:
-                contributions = node._op_cls.backward(node._ctx, node_grad)
-                pairs = zip(node._inputs, contributions)
-            else:
-                pairs = zip(node._parents, (fn(node_grad) for fn in node._grad_fns))
-            for parent, contribution in pairs:
+            contributions = node._op_cls.backward(node._ctx, node_grad)
+            for parent, contribution in zip(node._inputs, contributions):
                 if contribution is None or not parent.requires_grad:
                     continue
                 contribution = np.asarray(contribution)

@@ -9,15 +9,15 @@ def build_src(tmp_path):
     tensor_dir = tmp_path / "src" / "tensor"
     tensor_dir.mkdir(parents=True)
     (tensor_dir / "ops.py").write_text(textwrap.dedent("""\
-        from fake.tensor import Tensor
+        from fake.tensor.engine import apply
 
 
         def foo(x):
-            return Tensor.from_op(x.data, [(x, lambda g: g)], op="foo")
+            return apply("foo", x)
 
 
         def bar(x):
-            return Tensor.from_op(-x.data, [(x, lambda g: -g)], op="bar")
+            return apply("bar", x)
 
 
         def composite(x):
@@ -25,19 +25,20 @@ def build_src(tmp_path):
 
 
         def _private_helper(x):
-            return Tensor.from_op(x.data, [(x, lambda g: g)], op="hidden")
+            return apply("hidden", x)
     """))
     (tensor_dir / "tensor.py").write_text(textwrap.dedent("""\
-        class Tensor:
-            @staticmethod
-            def from_op(data, parents, op=""):
-                return Tensor()
+        from fake.tensor import engine
 
+        _apply = engine.apply
+
+
+        class Tensor:
             def __add__(self, other):
-                return Tensor.from_op(None, [], op="add")
+                return _apply("add", self, other)
 
             def sum(self):
-                return Tensor.from_op(None, [], op="sum")
+                return engine.apply("sum", self)
 
             def detach(self):
                 return Tensor()
@@ -53,7 +54,7 @@ def build_tests(tmp_path, body):
 
 
 class TestSurfaceEnumeration:
-    def test_public_ops_and_from_op_methods_only(self, tmp_path):
+    def test_public_ops_and_taping_methods_only(self, tmp_path):
         surface = differentiable_surface(build_src(tmp_path))
         assert set(surface) == {"foo", "bar", "composite", "__add__", "sum"}
         assert surface["foo"] == "ops.foo"

@@ -116,6 +116,12 @@ class TestTrainerRun:
         result = run_method("edsr", sequence, config, seed=0)
         assert result.complete
 
+    def test_run_method_rejects_a_scenario_config(self, tiny_sequence,
+                                                  fast_config):
+        config = fast_config.with_overrides(scenario="blurry")
+        with pytest.raises(ValueError, match="run_scenario_method"):
+            run_method("finetune", tiny_sequence, config)
+
 
 class TestMultitask:
     def test_result_has_all_tasks(self, tiny_sequence, fast_config):

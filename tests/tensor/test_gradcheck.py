@@ -8,7 +8,7 @@ to fail loudly.
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, check_gradients, numerical_gradient
+from repro.tensor import Tensor, check_gradients, engine, numerical_gradient
 
 
 class TestNumericalGradient:
@@ -31,12 +31,25 @@ class TestCheckGradients:
         assert check_gradients(lambda t: (t ** 2).sum(), [np.array([1.0, -2.0])])
 
     def test_detects_wrong_backward(self):
-        def broken(t: Tensor) -> Tensor:
+        @engine.register
+        class BrokenDouble(engine.Op):
             # forward is t*2 but backward claims gradient 3
-            return Tensor.from_op(t.data * 2.0, [(t, lambda g: 3.0 * g)], op="broken")
+            name = "test_broken_double"
 
-        with pytest.raises(AssertionError, match="gradient mismatch"):
-            check_gradients(broken, [np.array([1.0, 2.0])])
+            @staticmethod
+            def forward(ctx, a):
+                return 2.0 * a
+
+            @staticmethod
+            def backward(ctx, grad):
+                return (3.0 * grad,)
+
+        try:
+            with pytest.raises(AssertionError, match="gradient mismatch"):
+                check_gradients(lambda t: engine.apply(BrokenDouble.name, t),
+                                [np.array([1.0, 2.0])])
+        finally:
+            engine._REGISTRY.pop(BrokenDouble.name)
 
     def test_detects_missing_backward(self):
         def leaky(t: Tensor) -> Tensor:

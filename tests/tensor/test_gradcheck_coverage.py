@@ -15,7 +15,7 @@ RNG = np.random.default_rng(7)
 
 
 class TestTensorMethodGradients:
-    """Primitives on Tensor itself (methods that tape via from_op)."""
+    """Primitives on Tensor itself (methods that tape a registered op)."""
 
     def test_neg_grad(self):
         check_gradients(lambda t: (-t).sum(), [RNG.normal(size=(3, 4))])

@@ -94,6 +94,26 @@ class TestScenarioFlags:
         assert args.drift_threshold == 0.9
         assert args.scenario_seed == 4
 
+    @pytest.mark.parametrize("command", [["compare", "cifar10-like"],
+                                         ["sweep", "cifar10-like", "out"]])
+    @pytest.mark.parametrize("flag", [
+        "--scenario-seed", "--blur-ratio", "--segments-per-task",
+        "--drift-threshold", "--domain-count", "--domain-shift",
+        "--long-cycles"])
+    def test_compare_and_sweep_reject_scenario_knobs(self, command, flag,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + [flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_run_scenario_knob_without_scenario_is_an_error(self, capsys):
+        code = main(["run", "finetune", "cifar10-like", "--epochs", "1",
+                     "--blur-ratio", "0.9", "--long-cycles", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--blur-ratio, --long-cycles requires --scenario" in err
+
     def test_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
