@@ -20,6 +20,7 @@ from repro.bench.suites import (
     build_ssl_step,
     eval_probe_bench,
     format_report,
+    layer_benches,
     memory_bench,
     op_microbenches,
     run_suite,
@@ -42,6 +43,7 @@ __all__ = [
     "build_ssl_step",
     "eval_probe_bench",
     "format_report",
+    "layer_benches",
     "memory_bench",
     "op_microbenches",
     "run_suite",

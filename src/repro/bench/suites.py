@@ -6,6 +6,9 @@ Two layers of measurement:
   L2-normalize, cosine rows, normalized MSE, batch norm) timed
   forward+backward with fusion on and off (:func:`repro.tensor.no_fusion`).
   These localise *where* a regression lives.
+* **Layer benches** — conv2d, max-pool and 2-D batch norm at the conv
+  backbone's CI training shapes, forward+backward and no-grad forward.
+  Informational: the whole-run numbers live in ``perfbench/``.
 * **SSL training-step bench** — one full SimCLR-style optimisation step
   (SimSiam objective, MLP backbone, batch 128, SGD momentum), the unit the
   ISSUE acceptance bar is written against.  The pre-refactor engine
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.harness import BenchTiming, speedup, time_callable
-from repro.tensor import Tensor, no_fusion, ops
+from repro.tensor import Tensor, no_fusion, no_grad, ops
 
 # Measured on the pre-registry engine (closure-based tape, unfused kernels,
 # per-step grad allocation) with build_ssl_step()'s exact configuration.
@@ -124,6 +127,76 @@ def op_microbenches(*, smoke: bool = False, repeats: int | None = None) -> dict:
     }
     return {name: _bench_pair(fn, warmup=warmup, repeats=repeats)
             for name, fn in steps.items()}
+
+
+# ----------------------------------------------------------------------
+# Conv-backbone layer benches
+# ----------------------------------------------------------------------
+#: TinyConvNet's layer inputs at ``--scale ci`` (width 16, 8x8 images), in
+#: network order, as ``(op, (C, H, W), C_out)``; ``C_out`` is conv-only.
+LAYER_BENCH_SHAPES = (
+    ("conv2d", (3, 8, 8), 16),
+    ("batch_norm", (16, 8, 8), None),
+    ("maxpool2d", (16, 8, 8), None),
+    ("conv2d", (16, 4, 4), 32),
+    ("batch_norm", (32, 4, 4), None),
+    ("maxpool2d", (32, 4, 4), None),
+    ("conv2d", (32, 2, 2), 64),
+    ("batch_norm", (64, 2, 2), None),
+)
+
+
+def layer_benches(*, smoke: bool = False, repeats: int | None = None) -> dict:
+    """Time conv2d, maxpool2d and 2-D batch_norm at the CI backbone shapes.
+
+    Two modes per layer: forward+backward, as a training step runs it, and
+    a no-grad forward, as eval, representation extraction and old-model
+    targets run it (BatchNorm in eval mode there).  Informational: there
+    is no bar.
+    """
+    from repro import nn
+
+    batch = 4 if smoke else 32  # 32: the CI training batch
+    warmup = 1 if smoke else 5
+    repeats = repeats or (3 if smoke else 30)
+    rng = np.random.default_rng(0)
+    layers = {}
+    for op, (c, h, w), c_out in LAYER_BENCH_SHAPES:
+        x_np = rng.normal(size=(batch, c, h, w)).astype(np.float32)
+        if op == "conv2d":
+            module = nn.Conv2d(c, c_out, 3, padding=1, bias=False, rng=rng)
+        elif op == "maxpool2d":
+            module = nn.MaxPool2d(2)
+            x_np = np.maximum(x_np, 0.0)  # post-ReLU: windows with zero ties
+        else:
+            module = nn.BatchNorm2d(c)
+
+        def fwd_bwd(module=module, x_np=x_np):
+            module(Tensor(x_np, requires_grad=True)).sum().backward()
+
+        def no_grad_fwd(module=module, x_np=x_np):
+            with no_grad():
+                module(Tensor(x_np))
+
+        fwd_bwd_timing = time_callable(fwd_bwd, warmup=warmup, repeats=repeats)
+        module.eval()
+        no_grad_timing = time_callable(no_grad_fwd, warmup=warmup, repeats=repeats)
+        name = f"{op} {c}x{h}x{w}" + (f"->{c_out}" if c_out else "")
+        layers[name] = {"op": op, "input": [batch, c, h, w],
+                        "fwd_bwd": fwd_bwd_timing.to_dict(),
+                        "no_grad": no_grad_timing.to_dict()}
+
+    def total(mode: str) -> float:
+        return sum(entry[mode]["median_s"] for entry in layers.values()
+                   if entry["op"] in ("conv2d", "maxpool2d"))
+
+    return {
+        "config": {"smoke": smoke, "batch": batch, "backbone": "tiny-conv",
+                   "repeats": repeats},
+        "layers": layers,
+        "conv_pool_fwd_bwd_s": total("fwd_bwd"),
+        "conv_pool_no_grad_s": total("no_grad"),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -571,6 +644,7 @@ def run_suite(*, smoke: bool = False, repeats: int | None = None) -> dict:
         "suite": "repro-bench-pr9",
         "mode": "smoke" if smoke else "full",
         "ops": op_microbenches(smoke=smoke, repeats=repeats),
+        "layers": layer_benches(smoke=smoke, repeats=repeats),
         "ssl_step": ssl_step_bench(smoke=smoke, repeats=repeats),
         "tape": tape_replay_bench(smoke=smoke, repeats=repeats),
         "sharding": sharding_bench(smoke=smoke, repeats=repeats),
@@ -591,6 +665,20 @@ def format_report(report: dict) -> str:
                      f"{entry['speedup']:.2f}x"])
     lines = [format_table(["op (fwd+bwd)", "fused us", "unfused us", "speedup"],
                           rows, title=f"op microbenches ({report['mode']})")]
+    layers = report.get("layers")
+    if layers is not None:
+        lines.append("")
+        rows = [[name,
+                 f"{entry['fwd_bwd']['median_s'] * 1e6:.1f}",
+                 f"{entry['no_grad']['median_s'] * 1e6:.1f}"]
+                for name, entry in layers["layers"].items()]
+        lines.append(format_table(
+            ["layer", "fwd+bwd us", "no-grad fwd us"], rows,
+            title=f"layers (tiny-conv CI shapes, batch "
+                  f"{layers['config']['batch']}; informational)"))
+        lines.append(f"conv+pool total: fwd+bwd "
+                     f"{layers['conv_pool_fwd_bwd_s'] * 1e6:.1f} us, no-grad fwd "
+                     f"{layers['conv_pool_no_grad_s'] * 1e6:.1f} us")
     ssl = report["ssl_step"]
     lines.append("")
     lines.append(f"SSL step (simsiam/mlp, batch {ssl['config']['batch']}): "
@@ -697,6 +785,7 @@ __all__ = [
     "build_ssl_step",
     "eval_probe_bench",
     "format_report",
+    "layer_benches",
     "memory_bench",
     "op_microbenches",
     "run_suite",

@@ -209,6 +209,10 @@ def _command_run(args: argparse.Namespace) -> int:
             print(f"error: {', '.join(knobs)} requires --scenario",
                   file=sys.stderr)
             return 2
+    elif args.method == "multitask":
+        print("error: multitask has no scenario support; drop --scenario",
+              file=sys.stderr)
+        return 2
     sequence = _load_benchmark(args.benchmark, args.scale, args.n_tasks)
     config = _config_from_args(args)
     if args.resume and not args.checkpoint_dir:

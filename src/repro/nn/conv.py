@@ -3,8 +3,10 @@
 The forward pass lowers convolution to a single matmul over unfolded
 patches; the whole lowering is one registered autograd op (``conv2d``) so
 the col2im scatter runs in vectorized numpy instead of through generic
-indexing, and the bias add is fused into the same kernel.  Layout is NCHW
-throughout, matching the torch convention the paper's models assume.
+indexing, and the bias add is fused into the same kernel.  Inputs and
+outputs are NCHW, matching the torch convention the paper's models assume;
+inside the kernel, im2col/col2im stage the image channels-last so their
+copies and adds move contiguous runs of channels.
 
 The unfolded patch matrix is the dominant allocation of a CNN step.  Its
 storage comes from :mod:`repro.tensor.memplan`: under a planned tape
@@ -39,55 +41,59 @@ def _im2col(x: np.ndarray, kernel: int, stride: int,
             padding: int) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` (N, C, H, W) into (N, out_h, out_w, C*k*k) patches.
 
+    ``x`` is first staged channels-last as (N, H+2p, W+2p, C) in one
+    scratch copy (zero-filled only when padded), so each of the k² kernel
+    offsets fills the patch matrix with one copy whose inner run is the C
+    channels.  The patch matrix keeps its (N, out_h, out_w, C, k, k)
+    layout, so every GEMM that reads it sees the same operand.
+
     The destination buffer comes from :func:`repro.tensor.memplan.acquire`
     and must be released by the caller once backward no longer needs it.
     """
     n, c, h, w = x.shape
     out_h, out_w = _out_hw(h, w, kernel, stride, padding)
-    padded = None
+    staged = memplan.acquire((n, h + 2 * padding, w + 2 * padding, c), x.dtype)
     if padding:
-        # Zero-fill + interior copy: value-identical to np.pad's constant
-        # mode, but into reusable (plannable) storage.
-        padded = memplan.acquire(
-            (n, c, h + 2 * padding, w + 2 * padding), x.dtype)
-        padded.fill(0)
-        padded[:, :, padding:-padding, padding:-padding] = x
-        x = padded
-    strides = x.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=shape,
-        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride, strides[2], strides[3]),
-        writeable=False,
-    )
-    col_shape = (n, out_h, out_w, c, kernel, kernel)
-    cols = memplan.acquire(col_shape, x.dtype)
-    # (N, C, out_h, out_w, k, k) -> (N, out_h, out_w, C, k, k), materialized
-    # into the scratch buffer.
-    np.copyto(cols, view.transpose(0, 2, 3, 1, 4, 5))
-    if padded is not None:
-        memplan.release(padded)
+        staged.fill(0)
+    staged[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    cols = memplan.acquire((n, out_h, out_w, c, kernel, kernel), x.dtype)
+    for ki in range(kernel):
+        rows = staged[:, ki:ki + stride * out_h:stride]
+        for kj in range(kernel):
+            cols[..., ki, kj] = rows[:, :, kj:kj + stride * out_w:stride]
+    memplan.release(staged)
     return cols.reshape(n, out_h, out_w, c * kernel * kernel), out_h, out_w
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: int,
             stride: int, padding: int) -> np.ndarray:
-    """Scatter-add (N, out_h, out_w, C*k*k) patch gradients back to x."""
+    """Scatter-add (N, out_h, out_w, C*k*k) patch gradients back to x.
+
+    Accumulates into a channels-last zero buffer, one strided add per
+    kernel offset in (ki, kj) order, so every input element receives its
+    contributions in the same order and from the same zero start as an
+    NCHW scatter would; one transpose copy into a fresh array then returns
+    contiguous NCHW, and the scratch buffer goes back to the cache.
+    """
     n, c, h, w = x_shape
     out_h, out_w = _out_hw(h, w, kernel, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
-    # k*k iterations over kernel offsets, not over array elements: each
-    # slice assignment below is a full vectorized scatter.
+    padded = memplan.acquire((n, h + 2 * padding, w + 2 * padding, c), cols.dtype)
+    padded.fill(0)
+    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel)
     for ki in range(kernel):
-        i_max = ki + stride * out_h
+        rows = padded[:, ki:ki + stride * out_h:stride]
         for kj in range(kernel):
-            j_max = kj + stride * out_w
-            padded[:, :, ki:i_max:stride, kj:j_max:stride] += cols[:, :, :, :, ki, kj]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            dst = rows[:, :, kj:kj + stride * out_w:stride]
+            np.add(dst, cols[..., ki, kj], out=dst)
+    # Always a fresh buffer: when the NCHW view is already contiguous
+    # (C == 1 or 1x1 spatial, no padding) ascontiguousarray would return
+    # ``padded`` itself, and releasing it would hand the gradient to the
+    # next acquire.
+    gx = np.empty(x_shape, dtype=cols.dtype)
+    np.copyto(gx, padded[:, padding:padding + h, padding:padding + w]
+              .transpose(0, 3, 1, 2))
+    memplan.release(padded)
+    return gx
 
 
 @register
@@ -139,13 +145,12 @@ class Conv2dOp(Op):
         out_h, out_w = _out_hw(h, w, kernel, stride, padding)
         c_out = sw[1]
         dtype = np.result_type(dx, dw).str
-        scratch = []
-        if padding:
-            scratch.append(((n, c, h + 2 * padding, w + 2 * padding), dx, "fwd"))
-        # The patch matrix feeds the weight gradient — lives to backward.
-        scratch.append(((n, out_h, out_w, c, kernel, kernel), dx, "bwd"))
-        scratch.append(((n * out_h * out_w, c_out), dtype, "fwd"))
-        return ((n, c_out, out_h, out_w), dtype), tuple(scratch)
+        return ((n, c_out, out_h, out_w), dtype), (
+            # Channels-last staged (padded) copy of x.
+            ((n, h + 2 * padding, w + 2 * padding, c), dx, "fwd"),
+            # The patch matrix feeds the weight gradient — lives to backward.
+            ((n, out_h, out_w, c, kernel, kernel), dx, "bwd"),
+            ((n * out_h * out_w, c_out), dtype, "fwd"))
 
     @staticmethod
     def backward(ctx: Context, grad):

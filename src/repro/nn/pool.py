@@ -5,44 +5,47 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module
-from repro.tensor import memplan
 from repro.tensor.engine import Context, Op, apply, register
 from repro.tensor.tensor import Tensor
 
-_BOOL = np.dtype(np.bool_).str
+
+def _pool_views(x: np.ndarray, kernel: int) -> list[np.ndarray]:
+    """The k² strided views ``x[:, :, i::k, j::k]``, in row-major (i, j) order.
+
+    View ``(i, j)`` holds every window's element at offset ``(i, j)``, so
+    an elementwise op over the views is the same op over each window
+    (``kernel`` divides H and W, as :class:`MaxPool2d` checks).
+    """
+    return [x[:, :, i::kernel, j::kernel]
+            for i in range(kernel) for j in range(kernel)]
 
 
 @register
 class MaxPool2dOp(Op):
-    """Non-overlapping max pooling (kernel == stride)."""
+    """Non-overlapping max pooling (kernel == stride).
+
+    Forward is a running ``np.maximum`` over the k² window-offset views:
+    max is exact, and taking the later of two equal operands in row-major
+    offset order is what the ``max(axis=(3, 5))`` window reduction does,
+    so the output bytes (signed zeros and NaN included) are the reduction's.
+    The tie mask is backward-only: forward keeps ``x`` and the output when
+    a gradient is due and nothing otherwise.
+    """
 
     name = "maxpool2d"
 
     @staticmethod
     def forward(ctx: Context, x, *, kernel: int, out=None):
-        n, c, h, w = x.shape
-        oh, ow = h // kernel, w // kernel
-        windows = x.reshape(n, c, oh, kernel, ow, kernel)
+        first, *rest = _pool_views(x, kernel)
         if out is None:
-            out = windows.max(axis=(3, 5))
-            # argmax mask for backward (ties split the gradient as in Tensor.max)
-            expanded = out[:, :, :, None, :, None]
-            mask = (windows == expanded).astype(x.dtype)
-            mask /= mask.sum(axis=(3, 5), keepdims=True)
+            out = first.copy()
         else:
-            windows.max(axis=(3, 5), out=out)
-            expanded = out[:, :, :, None, :, None]
-            eq = memplan.acquire(windows.shape, np.bool_)
-            mask = memplan.acquire(windows.shape, x.dtype)
-            msum = memplan.acquire((n, c, oh, 1, ow, 1), x.dtype)
-            np.equal(windows, expanded, out=eq)
-            np.copyto(mask, eq)
-            mask.sum(axis=(3, 5), keepdims=True, out=msum)
-            np.true_divide(mask, msum, out=mask)
-            memplan.release(eq)
-            memplan.release(msum)
-        ctx.mask = mask
-        ctx.shape = (n, c, h, w)
+            np.copyto(out, first)
+        for view in rest:
+            np.maximum(out, view, out=out)
+        if any(ctx.needs_input_grad):
+            ctx.save(x, out)
+            ctx.kernel = kernel
         return out
 
     @classmethod
@@ -50,17 +53,27 @@ class MaxPool2dOp(Op):
         ((shape, dtype),) = input_specs
         kernel = params["kernel"]
         n, c, h, w = shape
-        oh, ow = h // kernel, w // kernel
-        win = (n, c, oh, kernel, ow, kernel)
-        return ((n, c, oh, ow), dtype), (
-            (win, _BOOL, "fwd"),            # equality mask
-            (win, dtype, "bwd"),            # tie-split gradient mask
-            ((n, c, oh, 1, ow, 1), dtype, "fwd"))  # tie counts
+        return ((n, c, h // kernel, w // kernel), dtype), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
-        g_exp = grad[:, :, :, None, :, None] * ctx.mask
-        return (g_exp.reshape(ctx.shape),)
+        x, out = ctx.saved
+        # Ties split the gradient equally, as in Tensor.max: each tied
+        # element gets grad · fl(1/count), the same float ops as dividing
+        # the 0/1 mask by its window sum and then multiplying by grad.  An
+        # all-NaN window has no equal element, so 0 · (1/0) gives NaN there.
+        eqs = [np.equal(view, out) for view in _pool_views(x, ctx.kernel)]
+        count = np.zeros(out.shape, dtype=x.dtype)
+        for eq in eqs:
+            count += eq
+        gx = np.empty(x.shape, dtype=np.result_type(grad, x))
+        share = np.empty(out.shape, dtype=x.dtype)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.divide(1, count, out=count)
+            for eq, dst in zip(eqs, _pool_views(gx, ctx.kernel)):
+                np.multiply(eq, inv, out=share)
+                np.multiply(grad, share, out=dst)
+        return (gx,)
 
 
 @register

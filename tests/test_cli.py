@@ -114,6 +114,16 @@ class TestScenarioFlags:
         err = capsys.readouterr().err
         assert "--blur-ratio, --long-cycles requires --scenario" in err
 
+    def test_run_multitask_rejects_scenario(self, capsys):
+        # multitask trains once on the union of tasks; a scenario would be
+        # silently ignored, so the run must refuse it before training.
+        code = main(["run", "multitask", "cifar10-like", "--epochs", "1",
+                     "--scenario", "blurry"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "multitask has no scenario support" in captured.err
+        assert "Acc =" not in captured.out
+
     def test_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -5,10 +5,12 @@ fused kernel, and the JSON artifact has the schema BENCH_pr3.json commits.
 import json
 
 from repro.bench import PRE_REFACTOR_REFERENCE, run_suite
+from repro.bench.suites import LAYER_BENCH_SHAPES
 from repro.cli import build_parser, main
 
 FUSED_OPS = {"linear", "linear_relu", "l2_normalize", "cosine_rows",
              "normalized_mse", "batch_norm"}
+LAYER_OPS = {"conv2d", "maxpool2d", "batch_norm"}
 
 
 class TestBenchParser:
@@ -30,6 +32,8 @@ class TestBenchSmoke:
         out = capsys.readouterr().out
         assert "op microbenches (smoke)" in out
         assert "SSL step" in out
+        assert "layers (tiny-conv CI shapes" in out
+        assert "conv+pool total" in out
 
         report = json.loads(output.read_text(encoding="utf-8"))
         assert report["mode"] == "smoke"
@@ -37,6 +41,17 @@ class TestBenchSmoke:
         for entry in report["ops"].values():
             for path in ("fused", "unfused"):
                 assert entry[path]["median_s"] > 0.0
+        layers = report["layers"]
+        assert {entry["op"] for entry in layers["layers"].values()} == LAYER_OPS
+        assert len(layers["layers"]) == len(LAYER_BENCH_SHAPES)
+        for entry in layers["layers"].values():
+            assert entry["input"][0] == layers["config"]["batch"]
+            for mode in ("fwd_bwd", "no_grad"):
+                assert entry[mode]["median_s"] > 0.0
+        assert layers["conv_pool_fwd_bwd_s"] > 0.0
+        assert layers["conv_pool_no_grad_s"] > 0.0
+        # informational section: no bar, in smoke or full mode
+        assert "required_speedup" not in layers
         ssl = report["ssl_step"]
         assert ssl["fused"]["median_s"] > 0.0
         assert ssl["speedup_fused_vs_unfused"] > 0.0
