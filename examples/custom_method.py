@@ -1,10 +1,13 @@
 """Scenario: build your own continual method on the library's primitives.
 
-Implements "EDSR-lite" from scratch in ~40 lines — random memory selection
-plus plain (noise-free) distillation replay — by subclassing
-:class:`ContinualMethod` directly, and compares it against Finetune and the
-full EDSR.  This is the template for experimenting with new selection /
-replay ideas.  Takes ~30 seconds on CPU.
+Implements "EDSR-lite" in ~40 lines — random memory selection plus plain
+(noise-free) distillation replay — on the two building blocks the built-in
+methods share: :class:`ReplayMemory` (the episodic buffer, its uniform
+replay draw and its checkpoint key) and :class:`FrozenTeacher` (the frozen
+previous-increment model), with :func:`teacher_target` for the old model's
+distillation targets.  It compares EDSR-lite against Finetune and the full
+EDSR.  This is the template for experimenting with new selection / replay
+ideas.  Takes ~30 seconds on CPU.
 
 Usage::
 
@@ -15,31 +18,25 @@ import numpy as np
 
 from repro import ContinualConfig, load_image_benchmark, run_method
 from repro.continual import ContinualTrainer, build_objective
-from repro.continual.method import ContinualMethod
-from repro.memory import MemoryBuffer, MemoryRecord
+from repro.continual.method import FrozenTeacher, ReplayMemory
+from repro.memory import MemoryRecord
 from repro.ssl import DistillationHead
-from repro.tensor.tensor import no_grad
+from repro.ssl.distill import teacher_target
 from repro.utils import format_table
 
 
-class EDSRLite(ContinualMethod):
+class EDSRLite(FrozenTeacher, ReplayMemory):
     """Random memory + plain distillation replay (no entropy, no noise)."""
 
     name = "edsr-lite"
-    uses_memory = True
 
     def __init__(self, objective, config, rng):
         super().__init__(objective, config, rng)
-        self.buffer = None
-        self.old_objective = None
         self.head = None
 
     def begin_task(self, task, task_index, n_tasks):
-        if self.buffer is None:
-            self.buffer = MemoryBuffer(self.config.memory_budget, n_tasks)
-        if task_index > 0:
-            self.old_objective = self.objective.copy()
-            self.old_objective.eval()
+        super().begin_task(task, task_index, n_tasks)  # buffer + old model
+        if self.old_objective is not None:
             self.head = DistillationHead(self.objective, rng=self.rng)
 
     def trainable_parameters(self):
@@ -52,18 +49,29 @@ class EDSRLite(ContinualMethod):
         loss = self.objective.css_loss(view1, view2)
         if self.old_objective is None or self.buffer.is_empty:
             return loss
-        idx = self.buffer.sample_batch(self.config.replay_batch_size, self.rng)
+        idx = self.sampling.sample(len(self.buffer), self.config.replay_batch_size,
+                                   self.rng)
         memory_view = self.augment.pipeline(self.buffer.all_samples()[idx], self.rng)
-        with no_grad():
-            target = self.old_objective.representation(memory_view).numpy()
+        target = teacher_target(self.old_objective, memory_view)
         return loss + 0.5 * self.head.loss(memory_view, target)
 
     def end_task(self, task, task_index):
-        quota = self.buffer.per_task_quota
-        chosen = self.rng.choice(len(task.train), size=min(quota, len(task.train)),
-                                 replace=False)
+        chosen = self.random_store_indices(task)
         self.buffer.add(MemoryRecord(task_id=task_index,
                                      samples=task.train.x[chosen].copy()))
+
+    # The mixins checkpoint the buffer and the old model; the head is ours.
+    def state_dict(self):
+        state = super().state_dict()
+        state["head"] = None if self.head is None else self.head.state_dict()
+        return state
+
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        self.head = None
+        if state["head"] is not None:
+            self.head = DistillationHead(self.objective, rng=self.rng)
+            self.head.load_state_dict(state["head"])
 
 
 def main() -> None:

@@ -16,15 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.continual.config import ContinualConfig
-from repro.continual.method import ContinualMethod
+from repro.continual.method import FrozenTeacher
 from repro.data.splits import Task
 from repro.nn.module import Parameter
 from repro.ssl.base import CSSLObjective
-from repro.ssl.distill import DistillationHead
-from repro.tensor.tensor import Tensor, no_grad
+from repro.ssl.distill import DistillationHead, teacher_target
+from repro.tensor.tensor import Tensor
 
 
-class CaSSLe(ContinualMethod):
+class CaSSLe(FrozenTeacher):
     """Distillation-only forgetting prevention (Fini et al. 2022)."""
 
     name = "cassle"
@@ -32,15 +32,12 @@ class CaSSLe(ContinualMethod):
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
                  rng: np.random.Generator):
         super().__init__(objective, config, rng)
-        self.old_objective: CSSLObjective | None = None
         self.head: DistillationHead | None = None
 
     def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        if task_index == 0:
-            return
-        self.old_objective = self.objective.copy()
-        self.old_objective.eval()
-        self.head = DistillationHead(self.objective, rng=self.rng)
+        super().begin_task(task, task_index, n_tasks)
+        if self.old_objective is not None:
+            self.head = DistillationHead(self.objective, rng=self.rng)
 
     def trainable_parameters(self) -> list[Parameter]:
         params = self.objective.parameters()
@@ -49,9 +46,7 @@ class CaSSLe(ContinualMethod):
         return params
 
     def _distill(self, view: np.ndarray) -> Tensor:
-        with no_grad():
-            target = self.old_objective.representation(view).numpy()
-        return self.head.loss(view, target)
+        return self.head.loss(view, teacher_target(self.old_objective, view))
 
     def batch_loss(self, view1, view2, raw) -> Tensor:
         loss = self.objective.css_loss(view1, view2)
@@ -62,21 +57,11 @@ class CaSSLe(ContinualMethod):
 
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["old_objective"] = (None if self.old_objective is None
-                                  else self.old_objective.state_dict())
         state["head"] = None if self.head is None else self.head.state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
-        if state["old_objective"] is None:
-            self.old_objective = None
-        else:
-            # Clone the live objective for structure, then overwrite with the
-            # frozen weights the snapshot recorded.
-            self.old_objective = self.objective.copy()
-            self.old_objective.load_state_dict(state["old_objective"])
-            self.old_objective.eval()
         if state["head"] is None:
             self.head = None
         else:

@@ -18,33 +18,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.continual.config import ContinualConfig
-from repro.continual.method import ContinualMethod
-from repro.data.splits import Task
+from repro.continual.method import FrozenTeacher
 from repro.ssl.vae import VAEObjective
 from repro.tensor.tensor import Tensor
 
 
-class GenerativeReplay(ContinualMethod):
+class GenerativeReplay(FrozenTeacher):
     """Generative (pseudo-)replay from the previous increment's decoder."""
 
     name = "curl"
 
     def __init__(self, objective: VAEObjective, config: ContinualConfig,
-                 rng: np.random.Generator, replay_weight: float | None = None):
+                 rng: np.random.Generator):
         if not isinstance(objective, VAEObjective):
             raise TypeError("GenerativeReplay requires a VAEObjective "
                             "(ContinualConfig(objective='vae'))")
         super().__init__(objective, config, rng)
-        # Immutable hyperparameter derived from the constructor arguments;
-        # the caller rebuilds the method with the same config before loading.
-        self.replay_weight = config.replay_weight if replay_weight is None else replay_weight  # repro-lint: disable=SER002
-        self.old_objective: VAEObjective | None = None
-
-    def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        self.old_objective = None
-        if task_index > 0:
-            self.old_objective = self.objective.copy()
-            self.old_objective.eval()
 
     def batch_loss(self, view1, view2, raw) -> Tensor:
         loss = self.objective.css_loss(view1, view2)
@@ -53,19 +42,4 @@ class GenerativeReplay(ContinualMethod):
         generated = self.old_objective.generate(self.config.replay_batch_size)
         replay = self.objective.vae.elbo_loss(Tensor(generated), self.rng,
                                               self.objective.kl_weight)
-        return loss + self.replay_weight * replay
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["old_objective"] = (None if self.old_objective is None
-                                  else self.old_objective.state_dict())
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        if state["old_objective"] is None:
-            self.old_objective = None
-        else:
-            self.old_objective = self.objective.copy()
-            self.old_objective.load_state_dict(state["old_objective"])
-            self.old_objective.eval()
+        return loss + self.config.replay_weight * replay

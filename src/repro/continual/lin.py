@@ -22,37 +22,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.continual.config import ContinualConfig
-from repro.continual.method import ContinualMethod
+from repro.continual.method import FrozenTeacher, ReplayMemory
 from repro.data.splits import Task
 from repro.eval.protocol import extract_representations
-from repro.memory.buffer import MemoryBuffer, MemoryRecord
+from repro.memory.buffer import MemoryRecord
 from repro.selection.base import SelectionContext
 from repro.selection.kmeans import KMeansSelection
 from repro.ssl.base import CSSLObjective
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor, no_grad
 
+# ``w`` of the distance-preservation term.
+DISTANCE_WEIGHT = 1.0
 
-class LinContinual(ContinualMethod):
+
+class LinContinual(FrozenTeacher, ReplayMemory):
     name = "lin"
-    uses_memory = True
 
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
-                 rng: np.random.Generator, distance_weight: float = 1.0):
+                 rng: np.random.Generator):
         super().__init__(objective, config, rng)
-        self.buffer: MemoryBuffer | None = None
-        self.old_objective: CSSLObjective | None = None
-        self.distance_weight = distance_weight
         # Stateless selection policy, rebuilt fresh each construction.
         self._selector = KMeansSelection()  # repro-lint: disable=SER002
-
-    def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
-        if self.buffer is None:
-            self.buffer = MemoryBuffer(self.config.memory_budget, n_tasks)
-        self.old_objective = None
-        if task_index > 0:
-            self.old_objective = self.objective.copy()
-            self.old_objective.eval()
 
     def _similarity(self, memory_reps: Tensor, batch_reps: Tensor) -> Tensor:
         return ops.l2_normalize(memory_reps, axis=1) @ ops.l2_normalize(batch_reps, axis=1).T
@@ -62,7 +53,8 @@ class LinContinual(ContinualMethod):
         if (self.buffer is None or self.buffer.is_empty
                 or self.old_objective is None or self.config.replay_batch_size == 0):
             return loss
-        idx = self.buffer.sample_batch(self.config.replay_batch_size, self.rng)
+        idx = self.sampling.sample(len(self.buffer), self.config.replay_batch_size,
+                                   self.rng)
         memory = self.buffer.all_samples()[idx]
         with no_grad():
             old_memory = self.old_objective.representation(memory)
@@ -72,25 +64,7 @@ class LinContinual(ContinualMethod):
                                    self.objective.representation(raw))
         diff = current - Tensor(target)
         preservation = (diff * diff).mean()
-        return loss + self.distance_weight * preservation
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["buffer"] = None if self.buffer is None else self.buffer.state_dict()
-        state["old_objective"] = (None if self.old_objective is None
-                                  else self.old_objective.state_dict())
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.buffer = (None if state["buffer"] is None
-                       else MemoryBuffer.from_state_dict(state["buffer"]))
-        if state["old_objective"] is None:
-            self.old_objective = None
-        else:
-            self.old_objective = self.objective.copy()
-            self.old_objective.load_state_dict(state["old_objective"])
-            self.old_objective.eval()
+        return loss + DISTANCE_WEIGHT * preservation
 
     def end_task(self, task: Task, task_index: int) -> None:
         quota = self.buffer.per_task_quota

@@ -13,6 +13,13 @@ A method wraps the live CSSL objective and contributes:
   snapshot with their frozen old models, memory buffers, importance
   accumulators, and any other state the training trajectory depends on.
   Values must be JSON/ndarray-serializable (lint rule SER001).
+
+Two cooperative mixins carry the plumbing the methods share:
+:class:`ReplayMemory` (the episodic buffer, its checkpoint key and the
+uniform replay draw) and :class:`FrozenTeacher` (the frozen old-model
+snapshot and its checkpoint key).  Each extends ``state_dict`` after its
+``super()`` call, so the order a method lists its bases in fixes the
+order of its checkpoint keys.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ import numpy as np
 from repro.augment.base import TwoViewAugment
 from repro.continual.config import ContinualConfig
 from repro.data.splits import Task
+from repro.memory.buffer import MemoryBuffer
 from repro.nn.module import Parameter
+from repro.replay.sampling import ReplaySampling, UniformSampling
 from repro.ssl.base import CSSLObjective
 from repro.tensor.tensor import Tensor
 
@@ -56,7 +65,6 @@ class ContinualMethod:
     """Base class; the default behaviour is plain finetuning."""
 
     name = "base"
-    uses_memory = False
 
     def __init__(self, objective: CSSLObjective, config: ContinualConfig,
                  rng: np.random.Generator):
@@ -160,6 +168,82 @@ class ContinualMethod:
         rebuilds any auxiliary models in place.
         """
         self.objective.load_state_dict(state["objective"])
+
+
+class ReplayMemory(ContinualMethod):
+    """Mixin: an episodic memory, created at the first increment.
+
+    The buffer splits ``config.memory_budget`` evenly over the task count
+    the first :meth:`begin_task` announces, and is checkpointed under
+    ``"buffer"``.  Replay batches are drawn by :attr:`sampling`: uniform
+    unless the method installs another policy.
+    """
+
+    sampling: ReplaySampling = UniformSampling()
+
+    def __init__(self, objective: CSSLObjective, config: ContinualConfig,
+                 rng: np.random.Generator):
+        super().__init__(objective, config, rng)
+        self.buffer: MemoryBuffer | None = None
+
+    def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
+        super().begin_task(task, task_index, n_tasks)
+        if self.buffer is None:
+            self.buffer = MemoryBuffer(self.config.memory_budget, n_tasks)
+
+    def random_store_indices(self, task: Task) -> np.ndarray:
+        """A uniform draw of up to one quota of distinct ``task.train`` rows."""
+        n = len(task.train)
+        return self.rng.choice(n, size=min(self.buffer.per_task_quota, n),
+                               replace=False)
+
+    def state_dict(self) -> dict:
+        state = super().state_dict()
+        state["buffer"] = None if self.buffer is None else self.buffer.state_dict()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self.buffer = (None if state["buffer"] is None
+                       else MemoryBuffer.from_state_dict(state["buffer"]))
+
+
+class FrozenTeacher(ContinualMethod):
+    """Mixin: a frozen copy of the objective from before each increment.
+
+    :attr:`old_objective` is ``None`` on the first increment and an
+    ``eval()``-mode snapshot of the live objective on every later one.
+    It is checkpointed under ``"old_objective"``.
+    """
+
+    def __init__(self, objective: CSSLObjective, config: ContinualConfig,
+                 rng: np.random.Generator):
+        super().__init__(objective, config, rng)
+        self.old_objective: CSSLObjective | None = None
+
+    def begin_task(self, task: Task, task_index: int, n_tasks: int) -> None:
+        super().begin_task(task, task_index, n_tasks)
+        self.old_objective = self._frozen_copy() if task_index > 0 else None
+
+    def _frozen_copy(self, state: dict | None = None) -> CSSLObjective:
+        # Clone the live objective for structure; a checkpoint then
+        # overwrites it with the frozen weights it recorded.
+        teacher = self.objective.copy()
+        if state is not None:
+            teacher.load_state_dict(state)
+        teacher.eval()
+        return teacher
+
+    def state_dict(self) -> dict:
+        state = super().state_dict()
+        state["old_objective"] = (None if self.old_objective is None
+                                  else self.old_objective.state_dict())
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self.old_objective = (None if state["old_objective"] is None
+                              else self._frozen_copy(state["old_objective"]))
 
 
 def make_method(name: str, objective: CSSLObjective, config: ContinualConfig,

@@ -14,17 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.continual.cassle import CaSSLe
-from repro.ssl.base import CSSLObjective
+from repro.ssl.distill import teacher_target
 from repro.tensor import ops
-from repro.tensor.tensor import Tensor, no_grad
+from repro.tensor.tensor import Tensor
 
 
 class PFR(CaSSLe):
     name = "pfr"
 
     def _distill(self, view: np.ndarray) -> Tensor:
-        with no_grad():
-            target = self.old_objective.representation(view).numpy()
+        target = teacher_target(self.old_objective, view)
         current = self.objective.representation(view)
         projected = self.head.projector(current)
         return -(ops.cosine_similarity(projected, Tensor(target))).mean()

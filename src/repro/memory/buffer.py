@@ -5,12 +5,12 @@ total budget ``s`` (e.g. 640 over 20 CIFAR-100 tasks = 32 per task; Fig. 7
 states "32 samples are stored for each data subset").  Besides the raw
 samples, the buffer carries per-sample metadata the replay losses need:
 the noise scale ``r(x)`` (Sec. III-B) and auxiliary targets (DER stores the
-old backbone outputs).
+backbone outputs the model produced when the sample was stored).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,11 +134,3 @@ class MemoryBuffer:
         for record_state in state["records"]:
             buffer.add(MemoryRecord.from_state_dict(record_state))
         return buffer
-
-    def sample_batch(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """Indices of a replay batch drawn uniformly from the whole memory."""
-        n = len(self)
-        if n == 0:
-            raise ValueError("cannot sample from empty memory")
-        size = min(batch_size, n)
-        return rng.choice(n, size=size, replace=False)

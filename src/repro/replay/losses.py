@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.augment.base import Augmentation
 from repro.ssl.base import CSSLObjective
-from repro.ssl.distill import DistillationHead
-from repro.tensor.tensor import Tensor, no_grad
+from repro.ssl.distill import DistillationHead, teacher_target
+from repro.tensor.tensor import Tensor
 
 
 class ReplayLoss:
@@ -71,16 +71,11 @@ class DistillReplay(ReplayLoss):
     name = "dis"
     needs_old_model = True
 
-    def _old_target(self, old_objective: CSSLObjective, view: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return old_objective.representation(view).numpy()
-
     def loss(self, batch, *, objective, old_objective, head, augment, noise, rng) -> Tensor:
         if old_objective is None or head is None:
             raise ValueError("distillation replay requires the old model and a head")
         view = augment(batch, rng)
-        target = self._old_target(old_objective, view)
-        return head.loss(view, target)
+        return head.loss(view, teacher_target(old_objective, view))
 
 
 class NoisyDistillReplay(DistillReplay):
@@ -95,7 +90,7 @@ class NoisyDistillReplay(DistillReplay):
         if noise is None:
             raise ValueError("noisy replay requires per-sample noise scales r(x)")
         view = augment(batch, rng)
-        target = self._old_target(old_objective, view)
+        target = teacher_target(old_objective, view)
         sigma = rng.standard_normal(size=target.shape).astype(target.dtype)
         # r(x) may be per-sample (m,) or per-sample-per-dimension (m, d).
         scales = noise if noise.ndim == 2 else noise[:, None]

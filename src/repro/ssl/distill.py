@@ -14,8 +14,18 @@ import numpy as np
 from repro.nn.mlp import MLP
 from repro.nn.module import Module
 from repro.ssl.base import CSSLObjective
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.rng import fallback_rng
+
+
+def teacher_target(teacher: CSSLObjective, x: np.ndarray) -> np.ndarray:
+    """The frozen ``teacher``'s representation of ``x``, as a plain array.
+
+    Computed under ``no_grad``: the target of every distillation term
+    (CaSSLe, PFR, EDSR's replay) is a constant, never part of the graph.
+    """
+    with no_grad():
+        return teacher.representation(x).numpy()
 
 
 class DistillationHead(Module):

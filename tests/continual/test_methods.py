@@ -18,7 +18,7 @@ from repro.continual import (
 from repro.continual.trainer import _build_augment
 
 
-METHOD_NAMES = ["finetune", "si", "der", "lump", "cassle", "edsr"]
+METHOD_NAMES = ["finetune", "si", "der", "lump", "cassle", "edsr", "lin", "pfr"]
 
 
 @pytest.fixture

@@ -3,8 +3,10 @@ fault-tolerance layer).
 
 A run checkpointed after task ``k`` and resumed in a fresh process must
 produce a bit-for-bit identical accuracy matrix and final weights compared
-to the uninterrupted run — for EDSR (replay buffer + noise scales + old
-representations) and DER (replay buffer + stored targets).  An injected NaN
+to the uninterrupted run — for every method whose state moves: replay
+buffers (DER's stored targets, EDSR's noise scales and old
+representations, LUMP, Lin), frozen teachers (CaSSLe, PFR, Lin, CURL) and
+distillation heads.  An injected NaN
 loss must trigger the guardrail recovery ladder: skip for transient
 poisons, restore + LR backoff + abort for persistent ones.
 """
@@ -23,6 +25,8 @@ SEED = 20240
 
 def fresh_trainer(name, config, sequence, **kwargs):
     """Method + trainer rebuilt from scratch, as after a process restart."""
+    if name == "curl":  # generative replay needs the VAE objective
+        config = config.with_overrides(objective="vae")
     rng = np.random.default_rng(SEED)
     objective = build_objective(config, sequence[0].train.x.shape[1:], rng)
     method = make_method(name, objective, config, rng)
@@ -35,8 +39,9 @@ def assert_same_weights(a, b):
         np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
 
 
-@pytest.mark.parametrize("name", ["edsr", "der"])
 class TestKillAndResume:
+    @pytest.mark.parametrize("name", ["edsr", "der", "lump", "lin", "cassle",
+                                      "pfr", "curl"])
     def test_resume_is_bit_for_bit(self, name, fast_config, tiny_sequence,
                                    tmp_path):
         baseline = fresh_trainer(name, fast_config, tiny_sequence)
@@ -61,6 +66,7 @@ class TestKillAndResume:
         kinds = [e["kind"] for e in resumed.log.events]
         assert "resume" in kinds
 
+    @pytest.mark.parametrize("name", ["edsr", "der"])
     def test_corrupt_newest_checkpoint_falls_back(self, name, fast_config,
                                                   tiny_sequence, tmp_path):
         baseline = fresh_trainer(name, fast_config, tiny_sequence)
@@ -82,6 +88,7 @@ class TestKillAndResume:
         kinds = [e["kind"] for e in resumed.log.events]
         assert "corrupt-checkpoint" in kinds and "resume" in kinds
 
+    @pytest.mark.parametrize("name", ["edsr", "der"])
     def test_resume_of_complete_run_reruns_nothing(self, name, fast_config,
                                                    tiny_sequence, tmp_path):
         first = fresh_trainer(name, fast_config, tiny_sequence,

@@ -69,25 +69,6 @@ class TestBuffer:
         buffer.add(record(0, with_targets=True))
         assert buffer.all_targets().shape == (5, 3)
 
-    def test_sample_batch_indices_valid_and_unique(self):
-        buffer = MemoryBuffer(50, 5)
-        buffer.add(record(0))
-        buffer.add(record(1))
-        idx = buffer.sample_batch(8, np.random.default_rng(0))
-        assert len(idx) == 8
-        assert len(np.unique(idx)) == 8
-        assert idx.max() < 10
-
-    def test_sample_batch_clips_to_size(self):
-        buffer = MemoryBuffer(50, 5)
-        buffer.add(record(0, n=3))
-        idx = buffer.sample_batch(10, np.random.default_rng(0))
-        assert len(idx) == 3
-
-    def test_sample_batch_empty_raises(self):
-        with pytest.raises(ValueError):
-            MemoryBuffer(50, 5).sample_batch(4, np.random.default_rng(0))
-
     def test_vector_noise_scales_concatenate(self):
         buffer = MemoryBuffer(50, 5)
         a = record(0)

@@ -20,6 +20,23 @@ from repro.utils import get_rng_state
 ALL_METHODS = ["finetune", "si", "der", "lump", "cassle", "edsr",
                "lin", "pfr", "curl"]
 
+# Checkpoint key order per method.  The replay memory and frozen teacher
+# mixins each append their key after ``super().state_dict()``, so a
+# method's base-class order decides this order; a reordered base list
+# moves every manifest and npz member and fails here.
+STATE_KEYS = {
+    "finetune": ["objective"],
+    "si": ["objective", "xi", "omega", "big_omega", "anchor", "task_start",
+           "task_index"],
+    "der": ["objective", "buffer"],
+    "lump": ["objective", "buffer"],
+    "cassle": ["objective", "old_objective", "head"],
+    "pfr": ["objective", "old_objective", "head"],
+    "edsr": ["objective", "old_objective", "head", "buffer", "memory_old_reps"],
+    "lin": ["objective", "buffer", "old_objective"],
+    "curl": ["objective", "old_objective"],
+}
+
 
 def config_for(name, config):
     """curl (generative replay) needs the VAE objective."""
@@ -45,6 +62,11 @@ class TestMethodStateSerializable:
     def test_trained_state_flattens(self, name, fast_config, tiny_sequence):
         method, _rng = trained_method(name, fast_config, tiny_sequence)
         check_serializable(method.state_dict())
+
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_state_key_order(self, name, fast_config, tiny_sequence):
+        method, _rng = trained_method(name, fast_config, tiny_sequence)
+        assert list(method.state_dict()) == STATE_KEYS[name]
 
     @pytest.mark.parametrize("name", ALL_METHODS)
     def test_state_roundtrips_onto_fresh_method(self, name, fast_config,
