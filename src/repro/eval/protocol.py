@@ -75,10 +75,12 @@ def extract_representations(objective: CSSLObjective, x: np.ndarray,
     was_training = objective.training
     objective.eval()
     chunks = []
-    with no_grad():
-        for start in range(0, len(x), batch_size):
-            chunks.append(objective.representation(x[start:start + batch_size]).numpy())
-    objective.train(was_training)
+    try:
+        with no_grad():
+            for start in range(0, len(x), batch_size):
+                chunks.append(objective.representation(x[start:start + batch_size]).numpy())
+    finally:
+        objective.train(was_training)
     return np.concatenate(chunks, axis=0)
 
 

@@ -37,23 +37,15 @@ class MaxPool2dOp(Op):
     @staticmethod
     def forward(ctx: Context, x, *, kernel: int, out=None):
         first, *rest = _pool_views(x, kernel)
-        if out is None:
-            out = first.copy()
-        else:
-            np.copyto(out, first)
-        for view in rest:
+        # The first fold step makes the output (kernel 1 folds ``first``
+        # with itself, which returns its bytes unchanged).
+        out = np.maximum(first, rest[0] if rest else first, out=out, order="C")
+        for view in rest[1:]:
             np.maximum(out, view, out=out)
         if any(ctx.needs_input_grad):
             ctx.save(x, out)
             ctx.kernel = kernel
         return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        kernel = params["kernel"]
-        n, c, h, w = shape
-        return ((n, c, h // kernel, w // kernel), dtype), ()
 
     @staticmethod
     def backward(ctx: Context, grad):
@@ -89,17 +81,7 @@ class AvgPool2dOp(Op):
         ctx.geometry = (n, c, oh, kernel, ow)
         ctx.shape = (n, c, h, w)
         windows = x.reshape(n, c, oh, kernel, ow, kernel)
-        if out is None:
-            return windows.mean(axis=(3, 5))
-        windows.mean(axis=(3, 5), out=out)
-        return out
-
-    @classmethod
-    def plan_buffers(cls, params, input_specs):
-        ((shape, dtype),) = input_specs
-        kernel = params["kernel"]
-        n, c, h, w = shape
-        return ((n, c, h // kernel, w // kernel), dtype), ()
+        return windows.mean(axis=(3, 5), out=out)
 
     @staticmethod
     def backward(ctx: Context, grad):

@@ -32,6 +32,7 @@ What the choke point buys:
 from __future__ import annotations
 
 import contextlib
+import inspect
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -147,17 +148,17 @@ class Op:
       gradient per input, positionally aligned; ``None`` marks an input
       that needs no gradient.
 
-    Ops participating in tape memory planning additionally:
-
-    - declare their buffer needs via :meth:`plan_buffers`, a pure function
-      of input shapes/dtypes and params;
-    - accept an optional ``out=`` keyword in ``forward`` and, when given,
-      write the result into that caller-provided array and return it
-      bit-for-bit identical to the allocating path.  Eager dispatch never
-      passes ``out``; only the tape's planned replay does.
+    An op opts in to tape memory planning by giving ``forward`` an
+    ``out=None`` keyword.  Its single body passes ``out`` to the ufunc
+    that produces the result, so numpy allocates when ``out`` is ``None``
+    (eager dispatch never passes it) and writes into the caller's array
+    otherwise, bit-for-bit the same.  The tape's planned replay hands such
+    an op an arena view shaped like the output it observed.
+    :func:`register` records the opt-in as ``takes_out``.
     """
 
     name: str = ""
+    takes_out: bool = False
 
     @staticmethod
     def forward(ctx: Context, *arrays: np.ndarray, **params) -> np.ndarray:
@@ -166,26 +167,6 @@ class Op:
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         raise NotImplementedError
-
-    @classmethod
-    def plan_buffers(cls, params: dict, input_specs):
-        """Declare output and scratch storage for the memory planner.
-
-        ``input_specs`` is a tuple of ``(shape, dtype_str)`` pairs, one per
-        forward input array.  Returns ``(out_spec, scratch_specs)`` where
-        ``out_spec`` is ``(shape, dtype_str)`` — or ``None`` if the op does
-        not support caller-provided output storage — and ``scratch_specs``
-        is a tuple of ``(shape, dtype_str, lifetime)`` entries describing
-        the buffers the op will :func:`repro.tensor.memplan.acquire` during
-        forward; ``lifetime`` is ``"fwd"`` (released before the next
-        instruction) or ``"bwd"`` (retained until this op's backward).
-
-        The declaration must be exact: the planner cross-validates
-        ``out_spec`` against the recorded output and falls back to
-        per-op allocation on any mismatch.  The base implementation opts
-        out of planning entirely.
-        """
-        return None, ()
 
 
 _REGISTRY: dict[str, type[Op]] = {}
@@ -203,6 +184,7 @@ def register(cls: type[Op]) -> type[Op]:
     if cls.name in _REGISTRY:
         raise ValueError(f"op {cls.name!r} is already registered "
                          f"(by {_REGISTRY[cls.name].__name__})")
+    cls.takes_out = "out" in inspect.signature(cls.forward).parameters
     _REGISTRY[cls.name] = cls
     _REGISTRY_VERSION += 1
     return cls

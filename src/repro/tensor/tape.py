@@ -43,21 +43,23 @@ Forward side effects that live outside the op stream (BatchNorm
 running-stat updates) re-fire on replay through
 :meth:`Tape.record_stat_hook`.
 
-Memory planning (PR 8): a complete tape knows every buffer the step will
-ever need, so the *second* replay runs as an observation pass — natural
-output dtypes, view aliases, and which intermediates each op context
-retains for backward are read off the live values — and feeds
-:func:`repro.tensor.memplan.build_plan`.  Replays from the third on
-execute against the resulting :class:`~repro.tensor.memplan.MemoryPlan`:
-planned instructions write into pre-bound arena views (``out=``) and
-draw their declared scratch from the same arena, with zero allocator
-calls for planned storage.  The planned path is gated exactly like the
-tape itself — bit-for-bit parity with the unplanned replay and with
-eager is enforced by tests — and any planning failure (declaration
-mismatch, odd dtypes, zero plannable buffers) permanently reverts that
-tape to the allocate-per-op fallback path.  The loss root, parameter
-leaves, ``.grad`` accumulators and captured constants never live in the
-arena.
+Memory planning: a complete tape knows every op output the step will
+produce, so the *second* replay runs as an observation pass — each
+output's shape and dtype, view aliases, and which intermediates each op
+context retains for backward are read off the live values — and feeds
+:func:`repro.tensor.memplan.build_plan`.  An instruction's output gets an
+arena slab when its op takes ``out=`` (``Op.takes_out``) and the observed
+output is fresh (not a view or alias), of the dispatch dtype, and not
+the loss root.  Replays from the third on execute against the resulting
+:class:`~repro.tensor.memplan.MemoryPlan`: planned instructions write
+into pre-bound arena views (``out=``), with zero allocator calls for
+planned storage; op scratch comes from the process-wide cache as in
+eager.  The planned path is gated exactly like the tape itself —
+bit-for-bit parity with the unplanned replay and with eager is enforced
+by tests — and any planning failure (zero plannable buffers, an
+exception while planning) permanently reverts that tape to the
+allocate-per-op path.  The loss root, parameter leaves, ``.grad``
+accumulators and captured constants never live in the arena.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ class _Instruction:
     """One recorded ``apply_ctx`` call, in slot form."""
 
     __slots__ = ("name", "op_cls", "params", "input_slots", "out_slot",
-                 "needs_input_grad", "out_dtype", "out_shape", "grad_out")
+                 "needs_input_grad", "out_dtype", "grad_out")
 
     def __init__(self, name, op_cls, params, input_slots, out_slot,
-                 needs_input_grad, out_dtype, out_shape):
+                 needs_input_grad, out_dtype):
         self.name = name
         self.op_cls = op_cls
         self.params = params
@@ -92,7 +94,6 @@ class _Instruction:
         self.out_slot = out_slot
         self.needs_input_grad = needs_input_grad
         self.out_dtype = out_dtype
-        self.out_shape = out_shape
         self.grad_out = any(needs_input_grad)
 
 
@@ -202,7 +203,7 @@ class Tape:
         self._ctx_refs.append(ctx)
         self.instructions.append(_Instruction(
             name, op_cls, dict(params), input_slots, out_slot,
-            ctx.needs_input_grad, out._data.dtype, out._data.shape))
+            ctx.needs_input_grad, out._data.dtype))
 
     def record_backward(self, root, seed: np.ndarray) -> None:
         """Freeze the backward schedule from the live graph at ``root``.
@@ -345,39 +346,20 @@ class Tape:
 
         Replay #1 after capture allocates per op; it doubles as the
         observation pass that builds this tape's :class:`MemoryPlan`.
-        Later replays execute against the plan's arena.  Disabling
-        planning (:func:`repro.tensor.memplan.no_planning`) or any
-        planning failure reverts to the allocate-per-op path, which is
+        Later replays pass each planned instruction its arena view as
+        ``out=``.  Disabling planning
+        (:func:`repro.tensor.memplan.no_planning`) or any planning failure
+        keeps every instruction on the allocate-per-op path, which is
         bit-for-bit identical.
         """
-        if self.plan is not None and memplan.planning_enabled():
-            if self.plan.tape_fingerprint == (self.fingerprint,
-                                              self.input_signature):
-                return self._replay_planned(inputs)
+        planning = memplan.planning_enabled()
+        if (planning and self.plan is not None and self.plan.tape_fingerprint
+                != (self.fingerprint, self.input_signature)):
             self.plan = None  # registry drifted under the plan: rebuild
-        observe = (self.plan is None and not self._plan_failed
-                   and memplan.planning_enabled())
-        return self._replay_fallback(inputs, observe)
+        out_views = (self.plan.out_views
+                     if planning and self.plan is not None else None)
+        observe = planning and self.plan is None and not self._plan_failed
 
-    def _bind_values(self, inputs) -> list:
-        values: list = [None] * self._n_slots
-        for sid, arr in self.const_of_slot.items():
-            values[sid] = arr
-        for sid, t in self.param_of_slot.items():
-            values[sid] = t._data
-        for pos, sid in self.input_slot_of_pos.items():
-            values[sid] = inputs[pos]
-        return values
-
-    def _fire_stat_hooks(self, values, ctxs) -> None:
-        for kind, ref, callback in self.stat_hooks:
-            if kind == "ctx":
-                replayed = ctxs[ref]
-                callback(replayed.mean, replayed.var)
-            else:
-                callback(*[values[s] for s in ref])
-
-    def _replay_fallback(self, inputs, observe: bool = False) -> np.ndarray:
         values = self._bind_values(inputs)
         armed = _faults.ARMED
         natural_ok = [False] * len(self.instructions) if observe else None
@@ -385,13 +367,18 @@ class Tape:
         for i, inst in enumerate(self.instructions):
             ctx = engine.Context()
             ctx.needs_input_grad = inst.needs_input_grad
-            data = inst.op_cls.forward(
-                ctx, *[values[s] for s in inst.input_slots], **inst.params)
-            _MEMSTATS["fallback_outputs"] += 1
-            if data.dtype != inst.out_dtype:
-                data = data.astype(inst.out_dtype)
-            elif observe:
-                natural_ok[i] = True
+            ins = [values[s] for s in inst.input_slots]
+            out = out_views[i] if out_views is not None else None
+            if out is not None:
+                data = inst.op_cls.forward(ctx, *ins, out=out, **inst.params)
+                _MEMSTATS["arena_outputs"] += 1
+            else:
+                data = inst.op_cls.forward(ctx, *ins, **inst.params)
+                _MEMSTATS["fallback_outputs"] += 1
+                if data.dtype != inst.out_dtype:
+                    data = data.astype(inst.out_dtype)
+                elif observe:
+                    natural_ok[i] = True
             if armed:
                 data = _faults.corrupt("tape.replay", data)
             if not inst.grad_out:
@@ -412,41 +399,23 @@ class Tape:
         self._replay_backward(values, ctxs)
         return values[self.seed_slot]
 
-    def _replay_planned(self, inputs) -> np.ndarray:
-        values = self._bind_values(inputs)
-        plan = self.plan
-        out_views = plan.out_views
-        scratch_views = plan.scratch_views
-        armed = _faults.ARMED
-        ctxs: list = [None] * len(self.instructions)
-        for i, inst in enumerate(self.instructions):
-            ctx = engine.Context()
-            ctx.needs_input_grad = inst.needs_input_grad
-            ins = [values[s] for s in inst.input_slots]
-            staged = scratch_views[i]
-            if staged:
-                memplan.provide_scratch(staged)
-            out = out_views[i]
-            if out is not None:
-                data = inst.op_cls.forward(ctx, *ins, out=out, **inst.params)
-                _MEMSTATS["arena_outputs"] += 1
-            else:
-                data = inst.op_cls.forward(ctx, *ins, **inst.params)
-                _MEMSTATS["fallback_outputs"] += 1
-                if data.dtype != inst.out_dtype:
-                    data = data.astype(inst.out_dtype)
-            if staged:
-                memplan.provide_scratch(())
-            if armed:
-                data = _faults.corrupt("tape.replay", data)
-            if not inst.grad_out:
-                ctx.saved = ()
-            values[inst.out_slot] = data
-            ctxs[i] = ctx
+    def _bind_values(self, inputs) -> list:
+        values: list = [None] * self._n_slots
+        for sid, arr in self.const_of_slot.items():
+            values[sid] = arr
+        for sid, t in self.param_of_slot.items():
+            values[sid] = t._data
+        for pos, sid in self.input_slot_of_pos.items():
+            values[sid] = inputs[pos]
+        return values
 
-        self._fire_stat_hooks(values, ctxs)
-        self._replay_backward(values, ctxs)
-        return values[self.seed_slot]
+    def _fire_stat_hooks(self, values, ctxs) -> None:
+        for kind, ref, callback in self.stat_hooks:
+            if kind == "ctx":
+                replayed = ctxs[ref]
+                callback(replayed.mean, replayed.var)
+            else:
+                callback(*[values[s] for s in ref])
 
     # ------------------------------------------------------------------
     # Plan construction (the observation pass)
@@ -466,11 +435,12 @@ class Tape:
         """Derive :class:`memplan.PlanInputs` from one observed replay.
 
         Lifetime evidence comes from the program itself (input slots, the
-        frozen backward schedule, stat-hook slots) plus two things only
-        the live pass can show: which instruction outputs are *views* of
-        other slots (reshape/transpose/getitem — they own no storage) and
-        which slot arrays each context retained for backward (saves extend
-        a producer's lifetime to its consumer's backward position).
+        frozen backward schedule, stat-hook slots) plus what only the live
+        pass can show: each output's shape and dtype, which instruction
+        outputs are *views* of other slots (reshape/transpose/getitem —
+        they own no storage) and which slot arrays each context retained
+        for backward (saves extend a producer's lifetime to its consumer's
+        backward position).
         """
         insts = self.instructions
         n = len(insts)
@@ -511,30 +481,19 @@ class Tape:
                                 found.add(out_slot)
             saved_slots.append(tuple(sorted(found)))
 
+        # The observed output is the spec: an out-taking op whose output
+        # here was fresh, C-ordered like an arena view, of the dispatch
+        # dtype and not the loss root writes into an arena view of exactly
+        # that shape and dtype.  (A differently laid-out output would make
+        # later reductions over it sum in another order.)
         out_specs: list = [None] * n
-        scratch_specs: list = [()] * n
         for i, inst in enumerate(insts):
             data = values[inst.out_slot]
-            if (not natural_ok[i] or data.base is not None
-                    or inst.out_slot in alias_of
-                    or inst.out_slot == self.seed_slot):
-                continue
-            input_specs = tuple((values[s].shape, values[s].dtype.str)
-                                for s in inst.input_slots)
-            try:
-                spec, scratch = inst.op_cls.plan_buffers(inst.params, input_specs)
-            except Exception:
-                continue
-            if spec is None:
-                continue
-            shape, dtype = spec
-            # Cross-validate the declaration against the recorded output;
-            # a lying plan_buffers must not get arena storage.
-            if tuple(shape) != data.shape or np.dtype(dtype) != inst.out_dtype:
-                continue
-            out_specs[i] = (tuple(shape), np.dtype(dtype).str)
-            scratch_specs[i] = tuple(
-                (tuple(s), np.dtype(d).str, life) for s, d, life in scratch)
+            if (inst.op_cls.takes_out and natural_ok[i] and data.base is None
+                    and data.flags.c_contiguous
+                    and inst.out_slot not in alias_of
+                    and inst.out_slot != self.seed_slot):
+                out_specs[i] = (data.shape, data.dtype.str)
 
         stat_slots: list[int] = []
         for kind, ref, _callback in self.stat_hooks:
@@ -546,7 +505,6 @@ class Tape:
             out_slots=[inst.out_slot for inst in insts],
             input_slots=[inst.input_slots for inst in insts],
             out_specs=out_specs,
-            scratch_specs=scratch_specs,
             saved_slots=saved_slots,
             backward_time=bwd_time,
             stat_slots=tuple(stat_slots),

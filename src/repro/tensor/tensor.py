@@ -113,23 +113,15 @@ class Tensor:
     # Construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False,
-              out: np.ndarray | None = None) -> "Tensor":
-        """Zero tensor; ``out=`` reuses caller storage via the shared helper.
-
-        Constructors route through :func:`repro.tensor.memplan.zeros` so
-        planner-exempt buffers, the replay fallback path, and ad-hoc
-        callers share one allocation idiom (``out`` must match shape and
-        the default dtype exactly).
-        """
-        return Tensor(memplan.zeros(shape, DEFAULT_DTYPE, out=out),
+    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
+        """Zero tensor, allocated through :func:`repro.tensor.memplan.zeros`."""
+        return Tensor(memplan.zeros(shape, DEFAULT_DTYPE),
                       requires_grad=requires_grad)
 
     @staticmethod
-    def ones(*shape: int, requires_grad: bool = False,
-             out: np.ndarray | None = None) -> "Tensor":
-        """One-filled tensor; ``out=`` reuses caller storage (see ``zeros``)."""
-        buf = memplan.alloc(shape, DEFAULT_DTYPE, out=out)
+    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
+        """One-filled tensor, allocated through :func:`repro.tensor.memplan.alloc`."""
+        buf = memplan.alloc(shape, DEFAULT_DTYPE)
         buf.fill(1)
         return Tensor(buf, requires_grad=requires_grad)
 

@@ -1,10 +1,10 @@
 """PERF002 fixture: raw allocations on a (fake) tape-replay path.
 
 ``Tape.replay`` seeds the forward slice.  Flagged: fresh numpy
-allocations in replay-reachable functions.  Quiet: the ``out is None``
-eager branch of an ``out=``-taking op forward, constructor calls that
-write into caller storage via ``out=``, and the backward slice (the walk
-never descends into ``backward``/``_replay_backward``).
+allocations in replay-reachable functions.  Quiet: calls that write into
+caller storage via ``out=`` (an op forward passing its own ``out``
+through), and the backward slice (the walk never descends into
+``backward``/``_replay_backward``).
 """
 
 import numpy as np
@@ -17,11 +17,7 @@ def helper_alloc(shape):
 class FakeOp:
     @staticmethod
     def forward(ctx, a, out=None):
-        if out is None:
-            # Eager fallback branch: only taken when no slab was planned.
-            return np.zeros(a.shape, dtype=a.dtype)
-        np.copyto(out, a)
-        return out
+        return np.concatenate([a], out=out)
 
     @staticmethod
     def backward(ctx, grad):

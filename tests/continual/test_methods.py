@@ -199,6 +199,21 @@ class TestDER:
         assert record.targets is not None
         assert record.targets.shape == (len(record.samples), objective.encoder.backbone.output_dim)
 
+    def test_end_task_restores_training_mode_when_forward_raises(
+            self, setup, tiny_sequence, monkeypatch):
+        objective, config, rng = setup
+        method = DER(objective, config, rng)
+        method.begin_task(tiny_sequence[0], 0, 3)
+        objective.train()
+
+        def poisoned(x):
+            raise FloatingPointError("non-finite backbone features")
+
+        monkeypatch.setattr(objective.encoder, "features", poisoned)
+        with pytest.raises(FloatingPointError):
+            method.end_task(tiny_sequence[0], 0)
+        assert objective.training
+
     def test_replay_term_after_first_task(self, setup, tiny_sequence):
         objective, config, rng = setup
         method = DER(objective, config, rng)

@@ -183,6 +183,25 @@ class TestProtocol:
         extract_representations(objective, tiny_sequence[0].train.x[:4])
         assert objective.training
 
+    def test_extract_restores_training_mode_when_forward_raises(
+            self, tiny_sequence, fast_config, rng, monkeypatch):
+        """Regression: an anomaly raised inside the forward (EDSR's
+        similarity replay sampling extracts representations mid-task) left
+        the objective — and its BatchNorm layers — in eval mode for every
+        later batch of the task."""
+        from repro.continual import build_objective
+        from repro.tensor.anomaly import AnomalyError
+        objective = build_objective(fast_config, tiny_sequence[0].train.x.shape[1:], rng)
+        objective.train()
+
+        def poisoned(x):
+            raise AnomalyError("non-finite output from op 'conv2d'")
+
+        monkeypatch.setattr(objective, "representation", poisoned)
+        with pytest.raises(AnomalyError):
+            extract_representations(objective, tiny_sequence[0].train.x[:4])
+        assert objective.training
+
     def test_evaluate_tasks_returns_one_accuracy_per_task(self, tiny_sequence, fast_config, rng):
         from repro.continual import build_objective
         objective = build_objective(fast_config, tiny_sequence[0].train.x.shape[1:], rng)

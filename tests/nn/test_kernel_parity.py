@@ -340,7 +340,6 @@ class TestSharedInputGradient:
 def scratch_ledger(monkeypatch):
     """Record every memplan acquire/release made while the test runs."""
     memplan.clear_scratch_cache()
-    memplan.provide_scratch(())
     ledger = {"acquired": [], "released": []}
     acquire, release = memplan.acquire, memplan.release
 
