@@ -1,5 +1,7 @@
 """Tests for image and tabular augmentation pipelines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,17 @@ class TestComposition:
         original = images.copy()
         simsiam_image_pipeline()(images, rng)
         np.testing.assert_array_equal(images, original)
+
+    def test_simsiam_pipeline_bytes(self):
+        """Pins the paper pipeline's output bytes over 20 calls of one generator."""
+        rng = np.random.default_rng(2024)
+        images = rng.uniform(0, 1, size=(32, 3, 8, 8)).astype(np.float32)
+        pipeline = simsiam_image_pipeline()
+        digest = hashlib.sha256()
+        for _ in range(20):
+            digest.update(pipeline(images, rng).tobytes())
+        assert digest.hexdigest() == (
+            "21601ae86594940d91fa7c77c6d7d61e60e1a99a0c2dea0f12da49f9de1d7931")
 
 
 class TestTabularCrop:
