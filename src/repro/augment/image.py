@@ -7,9 +7,9 @@ uses; each applies independently per sample in the batch.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.augment.base import Augmentation, Compose
+from repro.utils.filters import gaussian_blur_hw
 
 
 class RandomCrop(Augmentation):
@@ -76,17 +76,21 @@ class RandomGrayscale(Augmentation):
 
 
 class GaussianBlur(Augmentation):
+    """Per-sample Gaussian blur over H and W with probability ``p``.
+
+    Each selected sample gets its own sigma from ``U(sigma)``; the bytes
+    match ``scipy.ndimage.gaussian_filter(x[i], sigma=(0, s, s))``.
+    """
+
     def __init__(self, sigma: tuple[float, float] = (0.1, 1.0), p: float = 0.5):
         self.sigma = sigma
         self.p = p
 
     def __call__(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = x.copy()
         apply = rng.uniform(size=len(x)) < self.p
         sigmas = rng.uniform(self.sigma[0], self.sigma[1], size=len(x))
-        for i in np.nonzero(apply)[0]:
-            out[i] = ndimage.gaussian_filter(x[i], sigma=(0, sigmas[i], sigmas[i]))
-        return out
+        # A zero sigma leaves its row as it is.
+        return gaussian_blur_hw(x, np.where(apply, sigmas, 0.0))
 
 
 def simsiam_image_pipeline(padding: int = 1) -> Compose:

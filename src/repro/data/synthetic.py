@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset
+from repro.utils.filters import gaussian_blur_hw
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,19 @@ class SyntheticImageConfig:
     name: str = "synthetic-images"
 
 
+def _upsample_blur(coarse: np.ndarray, size: int, sigma: float) -> np.ndarray:
+    """Blocky upsample of ``(N, C, grid, grid)`` grids to ``size``, then blur."""
+    reps = -(-size // coarse.shape[-1])
+    field = coarse.repeat(reps, axis=-2).repeat(reps, axis=-1)[..., :size, :size]
+    return gaussian_blur_hw(field, sigma)
+
+
 def _smooth_field(rng: np.random.Generator, channels: int, size: int,
                   grid: int = 4, sigma: float = 1.0) -> np.ndarray:
     """Low-frequency random field: coarse iid grid, upsampled and blurred."""
     grid = min(grid, size)
     coarse = rng.normal(size=(channels, grid, grid))
-    reps = int(np.ceil(size / grid))
-    field = np.kron(coarse, np.ones((reps, reps)))[:, :size, :size]
-    return ndimage.gaussian_filter(field, sigma=(0, sigma, sigma))
+    return _upsample_blur(coarse[None], size, sigma)[0]
 
 
 def _class_figure(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -158,22 +163,25 @@ def make_image_dataset(config: SyntheticImageConfig) -> tuple[ArrayDataset, Arra
     class_seeds = root.integers(0, 2**31 - 1, size=config.n_classes)
     sample_rng = np.random.default_rng(root.integers(0, 2**31 - 1))
 
-    prototypes = []
-    for seed in class_seeds:
-        class_rng = np.random.default_rng(seed)
-        prototypes.append(_class_prototype(class_rng, config.channels, config.image_size))
+    channels, size = config.channels, config.image_size
+    prototypes = np.empty((config.n_classes, channels, size, size))
+    for label, seed in enumerate(class_seeds):
+        prototypes[label] = _class_prototype(np.random.default_rng(seed), channels, size)
+    grid = min(4, size)
 
     def draw(per_class: int) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = [], []
-        for label, proto in enumerate(prototypes):
-            for _ in range(per_class):
-                instance = _smooth_field(sample_rng, config.channels, config.image_size,
-                                         grid=4, sigma=0.8)
-                x = proto + config.intra_class_std * instance
-                x = x + sample_rng.normal(scale=config.pixel_noise, size=x.shape)
-                xs.append(np.clip(x, 0.0, 1.0))
-                ys.append(label)
-        return np.asarray(xs, dtype=np.float32), np.asarray(ys, dtype=np.int64)
+        # Per sample, in this order: the instance field's coarse grid,
+        # then the pixel noise. All fields are then blurred in one call.
+        labels = np.repeat(np.arange(config.n_classes, dtype=np.int64), per_class)
+        coarse = np.empty((len(labels), channels, grid, grid))
+        noise = np.empty((len(labels), channels, size, size))
+        for i in range(len(labels)):
+            coarse[i] = sample_rng.normal(size=coarse.shape[1:])
+            noise[i] = sample_rng.normal(scale=config.pixel_noise, size=noise.shape[1:])
+        instance = _upsample_blur(coarse, size, sigma=0.8)
+        x = prototypes[labels] + config.intra_class_std * instance
+        x = x + noise
+        return np.clip(x, 0.0, 1.0).astype(np.float32), labels
 
     x_train, y_train = draw(config.train_per_class)
     x_test, y_test = draw(config.test_per_class)

@@ -47,7 +47,7 @@ def _as_array(value, dtype=DEFAULT_DTYPE) -> np.ndarray:
     if isinstance(value, np.ndarray):
         # Preserve floating dtypes (float64 graphs are used by gradcheck);
         # promote anything else (ints, bools) to the default float dtype.
-        if np.issubdtype(value.dtype, np.floating):
+        if value.dtype.kind == "f":
             return value
         return value.astype(dtype)
     if isinstance(value, np.floating):

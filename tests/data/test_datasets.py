@@ -156,6 +156,13 @@ class TestSyntheticImages:
         assert train.x.min() >= 0.0 and train.x.max() <= 1.0
         assert len(train.classes) == 4
 
+    def test_empty_split_keeps_image_shape(self):
+        from dataclasses import replace
+        train, test = make_image_dataset(replace(self.CONFIG, test_per_class=0))
+        assert train.x.shape == (60, 3, 8, 8)
+        assert test.x.shape == (0, 3, 8, 8)
+        assert test.x.dtype == np.float32 and test.y.dtype == np.int64
+
     def test_deterministic_per_seed(self):
         a, _ = make_image_dataset(self.CONFIG)
         b, _ = make_image_dataset(self.CONFIG)

@@ -20,6 +20,24 @@ class TestConstruction:
         t = Tensor(np.arange(4))
         assert t.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_floating_arrays_keep_their_dtype(self, dtype):
+        data = np.arange(4, dtype=dtype)
+        t = Tensor(data)
+        assert t.dtype == dtype and t.data is data
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.bool_])
+    def test_int_and_bool_arrays_become_float32(self, dtype):
+        t = Tensor(np.ones(4, dtype=dtype))
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t.data, np.ones(4, dtype=np.float32))
+
+    def test_scalars_are_weak_and_zero_d_arrays_are_not(self):
+        assert Tensor(2.0).dtype == np.float32 and Tensor(2.0)._weak
+        scalar = Tensor(np.float64(2.0))
+        assert scalar.dtype == np.float64 and scalar._weak
+        assert not Tensor(np.array(2.0))._weak
+
     def test_zeros_ones(self):
         assert np.all(Tensor.zeros(2, 3).numpy() == 0)
         assert np.all(Tensor.ones(2, 3).numpy() == 1)
